@@ -332,9 +332,9 @@ func phasesIODemo() phaseIODemo {
 	for i := range vx {
 		vx[i] = float32(i%97) * 1e-3
 	}
-	_, saveErr := checkpoint.Save(fsys, "ckpt", 0, 10, st, nil, rec)
+	_, saveErr := checkpoint.Save(fsys, "ckpt", 0, 10, st, nil, nil, rec)
 	st2 := fd.NewState(d)
-	err := checkpoint.Load(fsys, "ckpt", 0, 10, st2, nil, rec)
+	err := checkpoint.Load(fsys, "ckpt", 0, 10, st2, nil, nil, rec)
 	match := saveErr == nil && err == nil
 	if match {
 		vx2 := st2.VX.Data()

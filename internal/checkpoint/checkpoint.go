@@ -3,7 +3,9 @@
 // nine wavefield components including ghost cells, plus the attenuation
 // memory variables — to its own file on the simulated parallel file
 // system, with open throttling to protect the metadata server. Restart
-// reproduces the uninterrupted run bit-for-bit.
+// reproduces the uninterrupted run bit-for-bit. State beyond the
+// wavefield and memory variables that the time stepping carries (the
+// M-PML zone splits) rides along as auxiliary arrays.
 package checkpoint
 
 import (
@@ -27,9 +29,11 @@ func FileName(dir string, rank, step int) string {
 // observes a half-written file under the final name. Transient PFS
 // faults are retried with bounded backoff; a torn write that slips
 // through is caught later by the CRC in Load/FindLatestValid. atten may
-// be nil. An optional telemetry recorder (at most one) attributes the
-// serialization wall time to the Checkpoint phase.
-func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) (pfs.PhaseStats, error) {
+// be nil. aux holds further per-rank state arrays (the M-PML zone
+// splits), saved after the memory variables in the given order; nil when
+// there are none. An optional telemetry recorder (at most one)
+// attributes the serialization wall time to the Checkpoint phase.
+func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, aux [][]float32, rec ...*telemetry.Recorder) (pfs.PhaseStats, error) {
 	defer ckptSpan(rec).End()
 	var buf []float32
 	for _, f := range s.Fields() {
@@ -39,6 +43,9 @@ func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuat
 		for _, f := range attenFields(atten) {
 			buf = append(buf, f.Data()...)
 		}
+	}
+	for _, a := range aux {
+		buf = append(buf, a...)
 	}
 	data := Encode(step, s.Dims, atten != nil, buf)
 	path := FileName(dir, rank, step)
@@ -53,11 +60,11 @@ func Save(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuat
 	return fsys.SimulatePhase([]pfs.Op{{Path: path, Bytes: len(data), Write: true, Open: true}}), nil
 }
 
-// Load restores one rank's state saved at step. The destination state and
-// attenuation model must already have the right dims. An optional
-// telemetry recorder (at most one) attributes the restore wall time to the
-// Checkpoint phase.
-func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, rec ...*telemetry.Recorder) error {
+// Load restores one rank's state saved at step. The destination state,
+// attenuation model and aux arrays must already have the shapes they were
+// saved with. An optional telemetry recorder (at most one) attributes the
+// restore wall time to the Checkpoint phase.
+func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuation.Model, aux [][]float32, rec ...*telemetry.Recorder) error {
 	defer ckptSpan(rec).End()
 	path := FileName(dir, rank, step)
 	sz := fsys.Size(path)
@@ -99,6 +106,13 @@ func Load(fsys *pfs.FS, dir string, rank, step int, s *fd.State, atten *attenuat
 			copy(f.Data(), vals[p:p+n])
 			p += n
 		}
+	}
+	for _, a := range aux {
+		if p+len(a) > len(vals) {
+			return fmt.Errorf("checkpoint: %s truncated in auxiliary state", path)
+		}
+		copy(a, vals[p:p+len(a)])
+		p += len(a)
 	}
 	if p != len(vals) {
 		return fmt.Errorf("checkpoint: %s has %d trailing payload values", path, len(vals)-p)

@@ -50,7 +50,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	for n := 0; n < 30; n++ {
 		step(s, m, a, dt)
 	}
-	st, err := Save(fsys, "ckpt", 0, 30, s, a)
+	st, err := Save(fsys, "ckpt", 0, 30, s, a, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestRestartBitIdentical(t *testing.T) {
 	// Restore into fresh state and recompute.
 	s2 := fd.NewState(d)
 	a2 := attenuation.New(m, attenuation.DefaultBand, dt)
-	if err := Load(fsys, "ckpt", 0, 30, s2, a2); err != nil {
+	if err := Load(fsys, "ckpt", 0, 30, s2, a2, nil); err != nil {
 		t.Fatal(err)
 	}
 	for n := 0; n < 30; n++ {
@@ -81,15 +81,44 @@ func TestSaveWithoutAttenuation(t *testing.T) {
 	fsys := testFS()
 	s := fd.NewState(d)
 	s.XY.Set(2, 2, 2, 5)
-	if _, err := Save(fsys, "c", 3, 100, s, nil); err != nil {
+	if _, err := Save(fsys, "c", 3, 100, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	s2 := fd.NewState(d)
-	if err := Load(fsys, "c", 3, 100, s2, nil); err != nil {
+	if err := Load(fsys, "c", 3, 100, s2, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if s2.XY.At(2, 2, 2) != 5 {
 		t.Fatal("value lost")
+	}
+}
+
+// Auxiliary arrays (M-PML zone splits) round-trip after the wavefield,
+// and a restore into a different aux shape is refused.
+func TestAuxArraysRoundTrip(t *testing.T) {
+	d := grid.Dims{NX: 6, NY: 6, NZ: 6}
+	fsys := testFS()
+	s := fd.NewState(d)
+	aux := [][]float32{{1, 2, 3}, {4, 5}}
+	if _, err := Save(fsys, "c", 0, 8, s, nil, aux); err != nil {
+		t.Fatal(err)
+	}
+	got := [][]float32{make([]float32, 3), make([]float32, 2)}
+	if err := Load(fsys, "c", 0, 8, fd.NewState(d), nil, got); err != nil {
+		t.Fatal(err)
+	}
+	for i := range aux {
+		for n := range aux[i] {
+			if got[i][n] != aux[i][n] {
+				t.Fatalf("aux[%d][%d] = %g, want %g", i, n, got[i][n], aux[i][n])
+			}
+		}
+	}
+	if err := Load(fsys, "c", 0, 8, fd.NewState(d), nil, nil); err == nil {
+		t.Error("checkpoint with aux state loaded without it")
+	}
+	if err := Load(fsys, "c", 0, 8, fd.NewState(d), nil, [][]float32{make([]float32, 6)}); err == nil {
+		t.Error("aux shape mismatch accepted")
 	}
 }
 
@@ -100,20 +129,20 @@ func TestLoadErrors(t *testing.T) {
 	s := fd.NewState(d)
 	a := attenuation.New(m, attenuation.DefaultBand, 0.001)
 
-	if err := Load(fsys, "c", 0, 1, s, nil); err == nil {
+	if err := Load(fsys, "c", 0, 1, s, nil, nil); err == nil {
 		t.Error("missing checkpoint loaded")
 	}
-	if _, err := Save(fsys, "c", 0, 1, s, nil); err != nil {
+	if _, err := Save(fsys, "c", 0, 1, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := Load(fsys, "c", 0, 2, s, nil); err == nil {
+	if err := Load(fsys, "c", 0, 2, s, nil, nil); err == nil {
 		t.Error("wrong step loaded")
 	}
-	if err := Load(fsys, "c", 0, 1, s, a); err == nil {
+	if err := Load(fsys, "c", 0, 1, s, a, nil); err == nil {
 		t.Error("attenuation mismatch accepted")
 	}
 	s2 := fd.NewState(grid.Dims{NX: 4, NY: 4, NZ: 4})
-	if err := Load(fsys, "c", 0, 1, s2, nil); err == nil {
+	if err := Load(fsys, "c", 0, 1, s2, nil, nil); err == nil {
 		t.Error("dims mismatch accepted")
 	}
 }

@@ -13,7 +13,9 @@
 //	24      8     NX     (int64)
 //	32      8     NY     (int64)
 //	40      8     NZ     (int64)
-//	48      4n    payload: n float32 values, little-endian
+//	48      4n    payload: n float32 values, little-endian: the nine
+//	              wavefield components, the memory variables (if flagged),
+//	              then any auxiliary arrays (M-PML zone splits)
 //	48+4n   8     CRC64-ECMA of bytes [0, 48+4n)
 //
 // The trailer covers the header too, so a corrupted step/dims field is as

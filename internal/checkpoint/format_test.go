@@ -79,7 +79,7 @@ func TestLegacyV1Rejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	s := fd.NewState(grid.Dims{NX: 6, NY: 6, NZ: 6})
-	if err := Load(fsys, "c", 0, 10, s, nil); !errors.Is(err, ErrNotCheckpoint) {
+	if err := Load(fsys, "c", 0, 10, s, nil, nil); !errors.Is(err, ErrNotCheckpoint) {
 		t.Fatalf("Load err = %v, want ErrNotCheckpoint", err)
 	}
 }
@@ -94,7 +94,7 @@ func TestFindLatestValidSkipsDamage(t *testing.T) {
 	save := func(rank, step int) {
 		s := fd.NewState(d)
 		s.VX.Set(1, 1, 1, float32(rank*1000+step))
-		if _, err := Save(fsys, "c", rank, step, s, nil); err != nil {
+		if _, err := Save(fsys, "c", rank, step, s, nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -151,7 +151,7 @@ func TestFindLatestValidIgnoresTempFiles(t *testing.T) {
 	d := grid.Dims{NX: 6, NY: 6, NZ: 6}
 	fsys := testFS()
 	s := fd.NewState(d)
-	if _, err := Save(fsys, "c", 0, 10, s, nil); err != nil {
+	if _, err := Save(fsys, "c", 0, 10, s, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	// Orphaned in-flight temp for a newer step.
@@ -177,11 +177,11 @@ func TestSaveUnderPFSFaults(t *testing.T) {
 
 	valid := 0
 	for step := 0; step < 40; step++ {
-		if _, err := Save(fsys, "c", 0, step, s, nil); err != nil {
+		if _, err := Save(fsys, "c", 0, step, s, nil, nil); err != nil {
 			continue // retry budget exhausted: no commit, fine
 		}
 		s2 := fd.NewState(d)
-		err := Load(fsys, "c", 0, step, s2, nil)
+		err := Load(fsys, "c", 0, step, s2, nil, nil)
 		if err == nil {
 			valid++
 			if s2.VZ.At(3, 3, 3) != 7 {

@@ -188,17 +188,14 @@ func TestABCReflectionOrdering(t *testing.T) {
 		case "sponge":
 			sp = NewSponge(d, DefaultSpongeWidth, DefaultSpongeAlpha, FaceSet{XHi: true})
 		}
+		pml := NewPMLSet(zones)
 		for n := 0; n < steps; n++ {
 			exchangeAxes(s, grid.Y, grid.Z)
 			fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-			for _, z := range zones {
-				z.UpdateVelocity(s, m, dt)
-			}
+			pml.UpdateVelocity(s, m, dt, nil)
 			exchangeAxes(s, grid.Y, grid.Z)
 			fd.UpdateStress(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-			for _, z := range zones {
-				z.UpdateStress(s, m, dt)
-			}
+			pml.UpdateStress(s, m, dt, nil)
 			if sp != nil {
 				sp.Apply(s)
 			}
@@ -232,20 +229,17 @@ func TestMPMLStableLongRun(t *testing.T) {
 	m := makeMedium(t, cvm.HardRock(), d, 200)
 	dt := m.StableDt(0.45)
 	zones, interior := BuildPML(d, AllAbsorbing(), 8, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, 200)
+	pml := NewPMLSet(zones)
 	fs := NewFreeSurface(d)
 
 	s := fd.NewState(d)
 	s.VZ.Set(24, 24, 10, 1) // impulsive point source
 	for n := 0; n < 600; n++ {
 		fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-		for _, z := range zones {
-			z.UpdateVelocity(s, m, dt)
-		}
+		pml.UpdateVelocity(s, m, dt, nil)
 		fs.ApplyVelocity(s, m)
 		fd.UpdateStress(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-		for _, z := range zones {
-			z.UpdateStress(s, m, dt)
-		}
+		pml.UpdateStress(s, m, dt, nil)
 		fs.ApplyStress(s)
 	}
 	e := s.VX.SumSq() + s.VY.SumSq() + s.VZ.SumSq()
@@ -377,19 +371,16 @@ func TestClassicPMLUnstableMPMLStable(t *testing.T) {
 
 	run := func(p float64) float64 {
 		zones, interior := BuildPML(d, AllAbsorbing(), 8, p, DefaultPMLReflection, m.MaxVp, h)
+		pml := NewPMLSet(zones)
 		s := fd.NewState(d)
 		s.VZ.Set(20, 20, 8, 1)
 		fsf := NewFreeSurface(d)
 		for n := 0; n < 3000; n++ {
 			fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-			for _, z := range zones {
-				z.UpdateVelocity(s, m, dt)
-			}
+			pml.UpdateVelocity(s, m, dt, nil)
 			fsf.ApplyVelocity(s, m)
 			fd.UpdateStress(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-			for _, z := range zones {
-				z.UpdateStress(s, m, dt)
-			}
+			pml.UpdateStress(s, m, dt, nil)
 			fsf.ApplyStress(s)
 		}
 		return s.VX.SumSq() + s.VY.SumSq() + s.VZ.SumSq()

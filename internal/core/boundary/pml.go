@@ -5,6 +5,7 @@ import (
 	"math"
 
 	"repro/internal/core/fd"
+	"repro/internal/core/sched"
 	"repro/internal/grid"
 	"repro/internal/medium"
 )
@@ -27,6 +28,12 @@ import (
 //	d(l) = d0 * ((l+1/2)/W)^2,  d0 = 3*Vp*ln(1/R) / (2*W*h)
 //
 // rising from ~0 at the interior interface to d0 at the outer boundary.
+//
+// Storage and kernels (see pmlstrip.go): the splits live in dense,
+// ghost-free zone-sized arrays, and the zone is updated one contiguous
+// x-row at a time. The three splits without a source term — sxy_z, sxz_y
+// and syz_x — are never stored: they start at +0 and stay exactly +0, so
+// they change no bit of the recombined sums (argument in pmlstrip.go).
 type PML struct {
 	Zone  fd.Box
 	Axis  grid.Axis
@@ -34,11 +41,28 @@ type PML struct {
 	Width int
 	P     float64 // M-PML parallel damping ratio
 
-	// split[s] holds the s-direction split of all nine components, stored
-	// on a zone-sized grid (local index = global - zone origin).
-	split [3]*fd.State
+	nx, ny, nz int // zone extent
+
+	// splits backs all 24 split arrays, each nx*ny*nz long (local index
+	// (lk*ny+lj)*nx+li); the named views below slice it.
+	splits []float32
+	// vel[c][s] is the s-direction split of velocity component c.
+	vel [3][3][]float32
+	// nrm[c][s] is the s-direction split of normal stress c (xx, yy, zz).
+	nrm [3][3][]float32
+	// shr[c] holds the two nonzero splits of shear stress c (xy: x,y;
+	// xz: x,z; yz: y,z), in split order.
+	shr [3][2][]float32
+
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
+
+	// The split-update coefficients (decay, gain) as float32 profiles
+	// along the zone axis, built for step dt by prepare: decN/gainN for
+	// the split normal to the face, decP/gainP for the parallel ones. An
+	// x zone indexes them per i; a y or z zone takes one value per x-row.
+	dt                       float64 // NaN until the first prepare
+	decN, gainN, decP, gainP []float32
 }
 
 // DefaultPMLWidth is the M8 production width (10 cells).
@@ -50,210 +74,194 @@ const DefaultMPMLRatio = 0.1
 // DefaultPMLReflection is the design reflection coefficient R.
 const DefaultPMLReflection = 1e-5
 
+// pmlSplits is the number of stored split arrays per zone: 9 velocity,
+// 9 normal-stress and 6 shear-stress splits.
+const pmlSplits = 24
+
 // NewPML builds one zone. vpMax and h size the damping profile.
 func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vpMax, h float64) *PML {
 	if zone.Empty() || width <= 0 {
 		panic(fmt.Sprintf("boundary: invalid PML zone %v width %d", zone, width))
 	}
-	zd := grid.Dims{NX: zone.I1 - zone.I0, NY: zone.J1 - zone.J0, NZ: zone.K1 - zone.K0}
-	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p}
-	for s := 0; s < 3; s++ {
-		pm.split[s] = fd.NewState(zd)
+	pm := &PML{Zone: zone, Axis: axis, Side: side, Width: width, P: p,
+		nx: zone.I1 - zone.I0, ny: zone.J1 - zone.J0, nz: zone.K1 - zone.K0, dt: math.NaN()}
+	cells := zone.Cells()
+	buf := make([]float32, pmlSplits*cells)
+	pm.splits = buf
+	next := func() []float32 {
+		a := buf[:cells:cells]
+		buf = buf[cells:]
+		return a
 	}
+	for c := 0; c < 3; c++ {
+		for s := 0; s < 3; s++ {
+			pm.vel[c][s] = next()
+		}
+	}
+	for c := 0; c < 3; c++ {
+		for s := 0; s < 3; s++ {
+			pm.nrm[c][s] = next()
+		}
+	}
+	for c := 0; c < 3; c++ {
+		pm.shr[c][0], pm.shr[c][1] = next(), next()
+	}
+
 	d0 := 3 * vpMax * math.Log(1/rcoef) / (2 * float64(width) * h)
 	pm.damp = make([]float64, width)
 	for l := 0; l < width; l++ {
 		x := (float64(width-l) - 0.5) / float64(width)
 		pm.damp[l] = d0 * x * x
 	}
+	n := pm.axisLen()
+	pm.decN, pm.gainN = make([]float32, n), make([]float32, n)
+	pm.decP, pm.gainP = make([]float32, n), make([]float32, n)
 	return pm
 }
 
-// depth returns the distance in cells from the inner (interior-facing)
-// edge of the zone for global cell coordinate (i,j,k); the damping index
-// is Width-1-depth ... expressed directly: returns the index into damp.
-func (pm *PML) dampAt(i, j, k int) float64 {
-	var l int
+// axisLen is the zone's extent along its axis.
+func (pm *PML) axisLen() int {
 	switch pm.Axis {
 	case grid.X:
-		if pm.Side == grid.Low {
-			l = i - pm.Zone.I0
-		} else {
-			l = pm.Zone.I1 - 1 - i
-		}
+		return pm.nx
 	case grid.Y:
-		if pm.Side == grid.Low {
-			l = j - pm.Zone.J0
-		} else {
-			l = pm.Zone.J1 - 1 - j
-		}
-	default:
-		if pm.Side == grid.Low {
-			l = k - pm.Zone.K0
-		} else {
-			l = pm.Zone.K1 - 1 - k
-		}
+		return pm.ny
 	}
-	if l < 0 {
-		l = 0
-	}
-	if l >= len(pm.damp) {
-		l = len(pm.damp) - 1
-	}
-	return pm.damp[l]
+	return pm.nz
 }
 
-// coeffs returns the three split-update coefficient pairs (decay, gain)
-// such that phi_s' = decay_s*phi_s + gain_s*dt*T_s.
-func (pm *PML) coeffs(i, j, k int, dt float64) (dec, gain [3]float32) {
-	d := pm.dampAt(i, j, k)
-	for s := 0; s < 3; s++ {
-		ds := pm.P * d
-		if grid.Axis(s) == pm.Axis {
-			ds = d
-		}
+// prepare builds the coefficient profiles for step dt (a no-op when they
+// are already built for dt). Each coefficient is the float64 expression
+//
+//	dec = (1 - d_s*dt/2) / (1 + d_s*dt/2),  gain = 1 / (1 + d_s*dt/2)
+//
+// rounded once to float32, so phi_s' = dec*phi_s + gain*dt*T_s. The
+// damping index of axis coordinate a is its distance from the
+// interior-facing edge, clamped to the profile.
+func (pm *PML) prepare(dt float64) {
+	if dt == pm.dt {
+		return
+	}
+	pm.dt = dt
+	coef := func(ds float64) (dec, gain float32) {
 		den := 1 + ds*dt/2
-		dec[s] = float32((1 - ds*dt/2) / den)
-		gain[s] = float32(1 / den)
+		return float32((1 - ds*dt/2) / den), float32(1 / den)
+	}
+	n := pm.axisLen()
+	for a := 0; a < n; a++ {
+		l := a
+		if pm.Side == grid.High {
+			l = n - 1 - a
+		}
+		d := pm.damp[min(l, len(pm.damp)-1)]
+		pm.decN[a], pm.gainN[a] = coef(d)
+		pm.decP[a], pm.gainP[a] = coef(pm.P * d)
+	}
+}
+
+// rowCoefs returns the per-split coefficient windows of the x-row at
+// zone-local (lj, lk): the whole profile (length nx) in an x zone, the
+// row's single value (length 1) in a y or z zone.
+func (pm *PML) rowCoefs(lj, lk int) (dec, gain [3][]float32) {
+	lo, hi := 0, pm.nx
+	switch pm.Axis {
+	case grid.Y:
+		lo, hi = lj, lj+1
+	case grid.Z:
+		lo, hi = lk, lk+1
+	}
+	for s := range dec {
+		if grid.Axis(s) == pm.Axis {
+			dec[s], gain[s] = pm.decN[lo:hi], pm.gainN[lo:hi]
+		} else {
+			dec[s], gain[s] = pm.decP[lo:hi], pm.gainP[lo:hi]
+		}
 	}
 	return
 }
 
-// UpdateVelocity advances the velocity splits in the zone and writes the
-// recombined velocities back to the global state. Must be called in place
-// of the interior kernel for zone cells.
-func (pm *PML) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64) {
-	c1, c2 := float32(fd.C1), float32(fd.C2)
-	dth := float32(dt / m.H)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
-	dx, dy, dz := s.VX.Strides()
-	z := pm.Zone
+// PMLSet advances a rank's PML zones as one queue of x-rows on the rank's
+// worker pool; the velocity update must run in place of the interior
+// kernel for zone cells, and likewise the stress update. Zones are
+// disjoint (BuildPML tiles the shell), and every row writes only its own
+// cells and splits, so any schedule, including the inline one of a nil
+// or serial pool, gives the same bits. A nil *PMLSet is a no-op.
+type PMLSet struct {
+	Zones []*PML
+	rows  []pmlRow
+	// velRow and strRow update one queued row; bound once by NewPMLSet so
+	// a step allocates no closures.
+	velRow, strRow func(int)
 
-	for k := z.K0; k < z.K1; k++ {
-		for j := z.J0; j < z.J1; j++ {
-			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				dec, gain := pm.coeffs(i, j, k, dt)
+	// Arguments of the queue in flight, read by the row functions.
+	st  *fd.State
+	med *medium.Medium
+	dth float32
+}
 
-				// Directional force terms (already scaled by dt/h and 1/rho).
-				uTx := dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]))
-				uTy := dth * bx[n] * (c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]))
-				uTz := dth * bx[n] * (c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				vTx := dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]))
-				vTy := dth * by[n] * (c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]))
-				vTz := dth * by[n] * (c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				wTx := dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]))
-				wTy := dth * bz[n] * (c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]))
-				wTz := dth * bz[n] * (c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
+type pmlRow struct {
+	z      *PML
+	lj, lk int
+}
 
-				var sum [3]float32
-				for sdir := 0; sdir < 3; sdir++ {
-					sp := pm.split[sdir]
-					var tU, tV, tW float32
-					switch sdir {
-					case 0:
-						tU, tV, tW = uTx, vTx, wTx
-					case 1:
-						tU, tV, tW = uTy, vTy, wTy
-					default:
-						tU, tV, tW = uTz, vTz, wTz
-					}
-					nu := dec[sdir]*sp.VX.At(li, lj, lk) + gain[sdir]*tU
-					nv := dec[sdir]*sp.VY.At(li, lj, lk) + gain[sdir]*tV
-					nw := dec[sdir]*sp.VZ.At(li, lj, lk) + gain[sdir]*tW
-					sp.VX.Set(li, lj, lk, nu)
-					sp.VY.Set(li, lj, lk, nv)
-					sp.VZ.Set(li, lj, lk, nw)
-					sum[0] += nu
-					sum[1] += nv
-					sum[2] += nw
-				}
-				u[n], v[n], w[n] = sum[0], sum[1], sum[2]
+// NewPMLSet queues the rows of zones; nil when there are none.
+func NewPMLSet(zones []*PML) *PMLSet {
+	if len(zones) == 0 {
+		return nil
+	}
+	ps := &PMLSet{Zones: zones}
+	for _, z := range zones {
+		for lk := 0; lk < z.nz; lk++ {
+			for lj := 0; lj < z.ny; lj++ {
+				ps.rows = append(ps.rows, pmlRow{z, lj, lk})
 			}
 		}
+	}
+	ps.velRow = func(r int) {
+		w := ps.rows[r]
+		w.z.velocityRow(ps.st, ps.med, ps.dth, w.lj, w.lk)
+	}
+	ps.strRow = func(r int) {
+		w := ps.rows[r]
+		w.z.stressRow(ps.st, ps.med, ps.dth, w.lj, w.lk)
+	}
+	return ps
+}
+
+// UpdateVelocity runs every zone's velocity update on pool p.
+func (ps *PMLSet) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool) {
+	if ps != nil {
+		ps.run(s, m, dt, p, ps.velRow)
 	}
 }
 
-// UpdateStress advances the stress splits in the zone and writes the
-// recombined stresses back to the global state.
-func (pm *PML) UpdateStress(s *fd.State, m *medium.Medium, dt float64) {
-	c1, c2 := float32(fd.C1), float32(fd.C2)
-	dth := float32(dt / m.H)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
-	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
-	dx, dy, dz := s.VX.Strides()
-	z := pm.Zone
-
-	for k := z.K0; k < z.K1; k++ {
-		for j := z.J0; j < z.J1; j++ {
-			for i := z.I0; i < z.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				li, lj, lk := i-z.I0, j-z.J0, k-z.K0
-				dec, gain := pm.coeffs(i, j, k, dt)
-
-				exx := dth * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
-				eyy := dth * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
-				ezz := dth * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
-				duy := dth * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]))
-				dvx := dth * (c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				duz := dth * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]))
-				dwx := dth * (c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				dvz := dth * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]))
-				dwy := dth * (c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-
-				// Per-direction contributions to each stress component.
-				type contrib struct{ tx, ty, tz float32 }
-				cXX := contrib{l2m[n] * exx, lam[n] * eyy, lam[n] * ezz}
-				cYY := contrib{lam[n] * exx, l2m[n] * eyy, lam[n] * ezz}
-				cZZ := contrib{lam[n] * exx, lam[n] * eyy, l2m[n] * ezz}
-				cXY := contrib{mxy[n] * dvx, mxy[n] * duy, 0}
-				cXZ := contrib{mxz[n] * dwx, 0, mxz[n] * duz}
-				cYZ := contrib{0, myz[n] * dwy, myz[n] * dvz}
-
-				var sXX, sYY, sZZ, sXY, sXZ, sYZ float32
-				for sdir := 0; sdir < 3; sdir++ {
-					sp := pm.split[sdir]
-					pick := func(c contrib) float32 {
-						switch sdir {
-						case 0:
-							return c.tx
-						case 1:
-							return c.ty
-						default:
-							return c.tz
-						}
-					}
-					nxx := dec[sdir]*sp.XX.At(li, lj, lk) + gain[sdir]*pick(cXX)
-					nyy := dec[sdir]*sp.YY.At(li, lj, lk) + gain[sdir]*pick(cYY)
-					nzz := dec[sdir]*sp.ZZ.At(li, lj, lk) + gain[sdir]*pick(cZZ)
-					nxy := dec[sdir]*sp.XY.At(li, lj, lk) + gain[sdir]*pick(cXY)
-					nxz := dec[sdir]*sp.XZ.At(li, lj, lk) + gain[sdir]*pick(cXZ)
-					nyz := dec[sdir]*sp.YZ.At(li, lj, lk) + gain[sdir]*pick(cYZ)
-					sp.XX.Set(li, lj, lk, nxx)
-					sp.YY.Set(li, lj, lk, nyy)
-					sp.ZZ.Set(li, lj, lk, nzz)
-					sp.XY.Set(li, lj, lk, nxy)
-					sp.XZ.Set(li, lj, lk, nxz)
-					sp.YZ.Set(li, lj, lk, nyz)
-					sXX += nxx
-					sYY += nyy
-					sZZ += nzz
-					sXY += nxy
-					sXZ += nxz
-					sYZ += nyz
-				}
-				xx[n], yy[n], zz[n] = sXX, sYY, sZZ
-				xy[n], xz[n], yz[n] = sXY, sXZ, sYZ
-			}
-		}
+// UpdateStress runs every zone's stress update on pool p.
+func (ps *PMLSet) UpdateStress(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool) {
+	if ps != nil {
+		ps.run(s, m, dt, p, ps.strRow)
 	}
+}
+
+func (ps *PMLSet) run(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool, row func(int)) {
+	for _, z := range ps.Zones {
+		z.prepare(dt)
+	}
+	ps.st, ps.med, ps.dth = s, m, float32(dt/m.H)
+	p.ForEachN(len(ps.rows), row)
+}
+
+// Splits returns each zone's split backing array, in zone order (nil for
+// a nil set): the zones' whole stepping state besides the wavefield,
+// which a checkpoint must carry for restart to be bit-identical.
+func (ps *PMLSet) Splits() [][]float32 {
+	if ps == nil {
+		return nil
+	}
+	out := make([][]float32, len(ps.Zones))
+	for i, z := range ps.Zones {
+		out[i] = z.splits
+	}
+	return out
 }
 
 // BuildPML constructs the non-overlapping shell of PML zones for a

@@ -242,8 +242,8 @@ type rankState struct {
 
 	nbrMask [3][2]bool
 
-	zones    []*boundary.PML
-	compBox  fd.Box // non-PML region the bulk kernels cover
+	pml      *boundary.PMLSet // M-PML zones (nil: none)
+	compBox  fd.Box           // non-PML region the bulk kernels cover
 	sponge   *boundary.Sponge
 	fs       *boundary.FreeSurface
 	atten    *attenuation.Model
@@ -353,9 +353,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		})
 		sp.End()
 		sp = rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateVelocity(rs.st, rs.med, dt)
-		}
+		rs.pml.UpdateVelocity(rs.st, rs.med, dt, rs.pool)
 		sp.End()
 		tm.Comp += time.Since(t0).Seconds()
 		t0 = time.Now()
@@ -374,9 +372,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		fd.UpdateVelocityTiled(rs.st, rs.med, dt, rs.compBox, opt.Variant, opt.Blocking, rs.pool)
 		sp.End()
 		sp = rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateVelocity(rs.st, rs.med, dt)
-		}
+		rs.pml.UpdateVelocity(rs.st, rs.med, dt, rs.pool)
 		sp.End()
 		if rs.fault != nil {
 			rs.fault.UpdateVelocity(rs.st, rs.med, dt)
@@ -413,9 +409,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		strips, inner := boundaryStrips(rs.sub.Local, rs.nbrMask, grid.Ghost)
 		fd.ForEachTileMulti(rs.clipStrips(strips), opt.Blocking, rs.pool, rs.stressTile(opt, dt))
 		sp := rs.tel.Span(telemetry.Boundary)
-		for _, z := range rs.zones {
-			z.UpdateStress(rs.st, rs.med, dt)
-		}
+		rs.pml.UpdateStress(rs.st, rs.med, dt, rs.pool)
 		sp.End()
 		inner2 := intersect(inner, rs.compBox)
 		rs.srcs.InjectRegion(rs.st, dt, tNow, inner2, false) // strip sources
@@ -434,9 +428,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 		if rs.fault == nil {
 			fd.ForEachTile(rs.compBox, opt.Blocking, rs.pool, rs.stressTile(opt, dt))
 			sp := rs.tel.Span(telemetry.Boundary)
-			for _, z := range rs.zones {
-				z.UpdateStress(rs.st, rs.med, dt)
-			}
+			rs.pml.UpdateStress(rs.st, rs.med, dt, rs.pool)
 			sp.End()
 		} else {
 			// DFR mode: the split-node correction must see the purely
@@ -446,9 +438,7 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 			fd.UpdateStressTiled(rs.st, rs.med, dt, rs.compBox, opt.Variant, opt.Blocking, rs.pool)
 			sp.End()
 			sp = rs.tel.Span(telemetry.Boundary)
-			for _, z := range rs.zones {
-				z.UpdateStress(rs.st, rs.med, dt)
-			}
+			rs.pml.UpdateStress(rs.st, rs.med, dt, rs.pool)
 			sp.End()
 			rs.fault.CorrectStress(rs.st, rs.med, dt)
 			if rs.atten != nil {

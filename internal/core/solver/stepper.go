@@ -219,8 +219,10 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 	switch opt.ABC {
 	case MPMLABC:
 		vpMax := c.Allreduce([]float64{rs.med.MaxVp}, mpi.Max)[0]
-		rs.zones, rs.compBox = boundary.BuildPML(rs.sub.Local, faces, opt.PMLWidth,
+		var zones []*boundary.PML
+		zones, rs.compBox = boundary.BuildPML(rs.sub.Local, faces, opt.PMLWidth,
 			boundary.DefaultMPMLRatio, boundary.DefaultPMLReflection, vpMax, opt.H)
+		rs.pml = boundary.NewPMLSet(zones)
 	case SpongeABC:
 		globalFaces := boundary.FaceSet{
 			XLo: true, XHi: true, YLo: true, YHi: true,
@@ -374,6 +376,12 @@ func (s *Stepper) State() *fd.State { return s.rs.st }
 // Atten exposes the rank's attenuation memory variables (nil when
 // attenuation is off) for checkpoint save/restore.
 func (s *Stepper) Atten() *attenuation.Model { return s.rs.atten }
+
+// PMLSplits exposes the split fields of the rank's M-PML zones (nil
+// without M-PML) for checkpoint save/restore: they are time-stepping
+// state, so a rollback that restored only State() and Atten() would
+// replay with splits from a later step.
+func (s *Stepper) PMLSplits() [][]float32 { return s.rs.pml.Splits() }
 
 // Recorder exposes the rank's telemetry recorder (nil when telemetry is
 // disabled) so harnesses can attribute checkpoint and recovery spans.

@@ -82,7 +82,7 @@ func (h *Harness) Run(s *fd.State, atten *attenuation.Model, m *medium.Medium,
 		return fmt.Errorf("ft: CheckpointEvery must be positive")
 	}
 	// Seed checkpoint at step 0: recovery is always possible.
-	if _, err := checkpoint.Save(h.FS, h.Dir, h.Rank, 0, s, atten); err != nil {
+	if _, err := checkpoint.Save(h.FS, h.Dir, h.Rank, 0, s, atten, nil); err != nil {
 		return fmt.Errorf("ft: seed checkpoint: %w", err)
 	}
 	h.Checkpoints++
@@ -93,7 +93,7 @@ func (h *Harness) Run(s *fd.State, atten *attenuation.Model, m *medium.Medium,
 		if inject(n) {
 			// Failure: the in-memory state is lost; roll back.
 			h.Failures++
-			if err := checkpoint.Load(h.FS, h.Dir, h.Rank, last, s, atten); err != nil {
+			if err := checkpoint.Load(h.FS, h.Dir, h.Rank, last, s, atten, nil); err != nil {
 				return fmt.Errorf("ft: recovery failed: %w", err)
 			}
 			h.RolledBack += n - last
@@ -104,7 +104,7 @@ func (h *Harness) Run(s *fd.State, atten *attenuation.Model, m *medium.Medium,
 		h.StepsExecuted++
 		n++
 		if n%h.CheckpointEvery == 0 && n < nsteps {
-			if _, err := checkpoint.Save(h.FS, h.Dir, h.Rank, n, s, atten); err == nil {
+			if _, err := checkpoint.Save(h.FS, h.Dir, h.Rank, n, s, atten, nil); err == nil {
 				// A failed save is survivable: recovery just rolls back to
 				// the previous checkpoint instead.
 				h.Checkpoints++

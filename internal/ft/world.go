@@ -340,7 +340,7 @@ func (h *rankHarness) run() (*solver.Result, error) {
 				// live Stepper, so st != nil here.
 				sp := st.Recorder().Span(telemetry.Recovery)
 				lerr := checkpoint.Load(h.fs, h.dir, h.comm.Rank(), dec.step,
-					st.State(), st.Atten())
+					st.State(), st.Atten(), st.PMLSplits())
 				if lerr == nil {
 					prev := st.StepIndex()
 					if serr := st.SetStepIndex(dec.step); serr != nil {
@@ -404,7 +404,7 @@ func (h *rankHarness) runSegment(stp **solver.Stepper) (res *solver.Result, err 
 		idx := st.StepIndex()
 		if idx%h.interval == 0 {
 			if _, serr := checkpoint.Save(h.fs, h.dir, h.comm.Rank(), idx,
-				st.State(), st.Atten(), st.Recorder()); serr != nil {
+				st.State(), st.Atten(), st.PMLSplits(), st.Recorder()); serr != nil {
 				// Survivable: recovery rolls back further instead.
 				h.saveErrs.Add(1)
 			} else {

@@ -194,6 +194,33 @@ func TestCrashDuringSetupRebuilds(t *testing.T) {
 	assertBitIdentical(t, ref, res)
 }
 
+// M-PML zones carry split fields across steps, so a rollback must restore
+// them with the wavefield: a checkpoint of State() and Atten() alone
+// replays with splits from a later step and drifts (receiver 0 picked up
+// a spurious 2.2e-13 at sample 1 on this probe before the splits were
+// checkpointed).
+func TestWorldMPMLCrashRecovery(t *testing.T) {
+	q := worldQuerier()
+	opt := worldSolverOptions(mpi.NewCart(2, 1, 1), solver.Asynchronous)
+	opt.ABC = solver.MPMLABC
+	opt.PMLWidth = 4
+	ref, err := solver.Run(q, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, stats, err := RunWorld(WorldOptions{
+		Solver: opt, Query: q, FS: testFS(), Dir: "ckpt", Interval: 8,
+		Chaos: &mpi.ChaosPlan{Seed: 3, CrashAtSend: map[int]uint64{1: 37}},
+	})
+	if err != nil {
+		t.Fatalf("RunWorld: %v (stats %+v)", err, stats)
+	}
+	if stats.Recoveries == 0 || stats.Rebuilds != 0 {
+		t.Fatalf("want a checkpoint rollback, got stats %+v", stats)
+	}
+	assertBitIdentical(t, ref, res)
+}
+
 // The acceptance scenario for FindLatestValid at world scope: the
 // newest coordinated checkpoint is damaged — truncated on one rank,
 // bit-flipped on the other — so recovery must elect the PREVIOUS

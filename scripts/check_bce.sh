@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
-# Bounds-check-elimination guard for the fused-sweep kernels.
+# Bounds-check-elimination guard for the fused-sweep and M-PML strip kernels.
 #
-# The fused inner loops are written against explicit per-offset subslice
+# The fused and PML strip inner loops are written against explicit per-offset subslice
 # windows (ap := a[n0+off:][:ni]) precisely so the compiler's prove pass can
 # eliminate every per-point bounds check; a regression here silently costs
 # kernel throughput. This script rebuilds the kernel packages with
@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go'
+GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pmlstrip.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
@@ -24,7 +24,8 @@ trap 'rm -rf "$tmpcache"' EXIT
 diag=$(GOCACHE="$tmpcache" go build \
     -gcflags="repro/internal/core/fd=-d=ssa/check_bce" \
     -gcflags="repro/internal/core/attenuation=-d=ssa/check_bce" \
-    ./internal/core/fd ./internal/core/attenuation 2>&1 || true)
+    -gcflags="repro/internal/core/boundary=-d=ssa/check_bce" \
+    ./internal/core/fd ./internal/core/attenuation ./internal/core/boundary 2>&1 || true)
 
 status=0
 for f in $GUARDED; do
