@@ -137,7 +137,9 @@ type Scenario struct {
 	// the ladder names "naive", "recip", "precomp", "blocked", "unrolled",
 	// "fused", or "auto" to run the per-machine kernel autotuner on the
 	// rank-0 subgrid shape (winner cached in a JSON profile, so only the
-	// first run on a machine pays the micro-benchmark).
+	// first run on a machine pays the micro-benchmark). Every name but
+	// "naive" and "recip" (the division-based ablation rungs) runs the
+	// production kernel; "blocked" adds its cache-blocking panels.
 	Variant string
 
 	// JBlock/KBlock override the cache-blocking tile (0: DefaultBlocking,

@@ -24,7 +24,7 @@ func main() {
 	comm := flag.String("comm", "async-reduced", "comm model: sync|async|async-reduced|overlap")
 	abc := flag.String("abc", "sponge", "absorbing boundary: none|sponge|mpml")
 	model := flag.String("model", "socal", "velocity model: socal|layered|rock")
-	variant := flag.String("variant", "", "stencil kernel: naive|recip|precomp|blocked|unrolled|fused, auto (per-machine autotuner), or empty for the blocked default")
+	variant := flag.String("variant", "", "stencil kernel: naive|recip (division-based ablation rungs), precomp|blocked|unrolled|fused (the production kernel; blocked adds cache-blocking panels), auto (per-machine autotuner), or empty for the blocked default")
 	jblock := flag.Int("jblock", 0, "cache-blocking tile extent in j (0: default or autotuned)")
 	kblock := flag.Int("kblock", 0, "cache-blocking tile extent in k (0: default or autotuned)")
 	tdepth := flag.Int("tdepth", 0, "temporal tiling depth: steps per deep halo exchange, 1|2|4 (0: 1 or autotuned)")

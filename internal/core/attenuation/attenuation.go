@@ -92,9 +92,9 @@ type Model struct {
 	Band Band
 	Taus [NRelax]float64
 
-	// Per-mechanism recursion coefficients for the current dt:
-	// zeta' = am*zeta + cm*deltaM*deps.
-	am, cm [NRelax]float64
+	// Per-mechanism recursion coefficients for the current dt, rounded
+	// once to the kernels' float32: zeta' = am*zeta + cm*deltaM*deps.
+	am, cm [NRelax]float32
 	dt     float64
 
 	// Origin is the global index of the local (0,0,0) cell; the
@@ -129,52 +129,59 @@ func New(m *medium.Medium, band Band, dt float64) *Model {
 	}
 	for mm := 0; mm < NRelax; mm++ {
 		tau := a.Taus[mm]
-		a.am[mm] = (2*tau - dt) / (2*tau + dt)
-		a.cm[mm] = 2 * tau / (2*tau + dt)
+		a.am[mm] = float32((2*tau - dt) / (2*tau + dt))
+		a.cm[mm] = float32(2 * tau / (2*tau + dt))
 	}
 	// Coarse-grain normalization: each point carries one mechanism, so its
 	// deficit is 8x the full-ensemble per-mechanism deficit, normalized to
 	// the band-center loss.
 	norm := float64(NRelax) / ensembleLoss(a.Taus, band.CenterOmega())
-	g := gw
-	d := m.Dims
-	for k := -g; k < d.NZ+g; k++ {
-		for j := -g; j < d.NY+g; j++ {
-			for i := -g; i < d.NX+g; i++ {
-				qp := float64(m.QP.At(i, j, k))
-				qs := float64(m.QS.At(i, j, k))
-				lam2mu := float64(m.Lam.At(i, j, k)) + 2*float64(m.Mu.At(i, j, k))
-				mu := float64(m.Mu.At(i, j, k))
-				var dl, dm float64
-				if qs > 0 {
-					dm = norm * mu / qs
-				}
-				if qp > 0 {
-					// Qp controls the P modulus (lam+2mu); subtract the mu
-					// part so lambda's deficit is consistent.
-					dl = norm*lam2mu/qp - 2*dm
-					if dl < 0 {
-						dl = 0
-					}
-				}
-				a.DLam.Set(i, j, k, float32(dl))
-				a.DMu.Set(i, j, k, float32(dm))
+	// Every point of the padded arrays, ghosts included: the model's
+	// fields share the medium's ghost width and hence its layout.
+	dlam, dmu := a.DLam.Data(), a.DMu.Data()
+	dmu = dmu[:len(dlam)]
+	qpd, qsd := m.QP.Data()[:len(dlam)], m.QS.Data()[:len(dlam)]
+	lamd, mud := m.Lam.Data()[:len(dlam)], m.Mu.Data()[:len(dlam)]
+	for n := range dlam {
+		qp, qs := float64(qpd[n]), float64(qsd[n])
+		lam2mu := float64(lamd[n]) + 2*float64(mud[n])
+		mu := float64(mud[n])
+		var dl, dm float64
+		if qs > 0 {
+			dm = norm * mu / qs
+		}
+		if qp > 0 {
+			// Qp controls the P modulus (lam+2mu); subtract the mu
+			// part so lambda's deficit is consistent.
+			dl = norm*lam2mu/qp - 2*dm
+			if dl < 0 {
+				dl = 0
 			}
 		}
+		dlam[n] = float32(dl)
+		dmu[n] = float32(dm)
 	}
 	return a
 }
 
-// mechAt returns the relaxation mechanism index for point (i,j,k), cycling
-// through the 2x2x2 cell parity (the coarse-grained distribution).
-func mechAt(i, j, k int) int {
-	return ((k&1)<<2 | (j&1)<<1 | (i & 1)) % NRelax
+// rowMech returns the recursion coefficients the points of row (j, k)
+// select, indexed by global x parity: the coarse-grained mechanism of a
+// point cycles through its 2x2x2 cell parity, and only the x parity varies
+// along a row, so the per-point table collapses to two entries per row.
+func (a *Model) rowMech(j, k int) (am, cm [2]float32) {
+	base := ((k+a.Origin[2])&1)<<2 | ((j+a.Origin[1])&1)<<1
+	return [2]float32{a.am[base], a.am[base|1]}, [2]float32{a.cm[base], a.cm[base|1]}
 }
 
 // Apply advances the memory variables over box using the velocity field of
 // s (whose spatial differences give the strain increments) and applies the
 // anelastic stress corrections in place. Call it immediately after the
-// elastic stress update each time step, with the same dt and box.
+// elastic stress update each time step, with the same dt and box. It is the
+// two-pass form FusedStress folds into the elastic sweep; it runs on its
+// own where the stress must be corrected between the two updates (DFR
+// fault mode) and after the division-based Naive/Recip kernels. The loop
+// uses the per-row subslice windows of fd/fused.go, so the inner loop
+// carries no bounds checks.
 func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
@@ -190,63 +197,102 @@ func (a *Model) Apply(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	zxx, zyy, zzz := a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data()
 	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
 	dlam, dmu := a.DLam.Data(), a.DMu.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	var amf, cmf [NRelax]float32
-	for mm := 0; mm < NRelax; mm++ {
-		amf[mm] = float32(a.am[mm])
-		cmf[mm] = float32(a.cm[mm])
-	}
+	_, dy, dz := s.VX.Strides()
+	ni := box.I1 - box.I0
+	pari := (box.I0 + a.Origin[0]) & 1
 
 	for k := box.K0; k < box.K1; k++ {
 		for j := box.J0; j < box.J1; j++ {
-			for i := box.I0; i < box.I1; i++ {
-				n := s.VX.Idx(i, j, k)
-				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
-				am, cm := amf[mm], cmf[mm]
+			amP, cmP := a.rowMech(j, k)
+			n0 := s.VX.Idx(box.I0, j, k)
+			uc := u[n0:][:ni]
+			um2x := u[n0-2:][:ni]
+			um1x := u[n0-1:][:ni]
+			up1x := u[n0+1:][:ni]
+			um1y := u[n0-dy:][:ni]
+			up1y := u[n0+dy:][:ni]
+			up2y := u[n0+2*dy:][:ni]
+			um1z := u[n0-dz:][:ni]
+			up1z := u[n0+dz:][:ni]
+			up2z := u[n0+2*dz:][:ni]
+			vc := v[n0:][:ni]
+			vm1x := v[n0-1:][:ni]
+			vp1x := v[n0+1:][:ni]
+			vp2x := v[n0+2:][:ni]
+			vm2y := v[n0-2*dy:][:ni]
+			vm1y := v[n0-dy:][:ni]
+			vp1y := v[n0+dy:][:ni]
+			vm1z := v[n0-dz:][:ni]
+			vp1z := v[n0+dz:][:ni]
+			vp2z := v[n0+2*dz:][:ni]
+			wc := w[n0:][:ni]
+			wm1x := w[n0-1:][:ni]
+			wp1x := w[n0+1:][:ni]
+			wp2x := w[n0+2:][:ni]
+			wm1y := w[n0-dy:][:ni]
+			wp1y := w[n0+dy:][:ni]
+			wp2y := w[n0+2*dy:][:ni]
+			wm2z := w[n0-2*dz:][:ni]
+			wm1z := w[n0-dz:][:ni]
+			wp1z := w[n0+dz:][:ni]
+			xxr := xx[n0:][:ni]
+			yyr := yy[n0:][:ni]
+			zzr := zz[n0:][:ni]
+			xyr := xy[n0:][:ni]
+			xzr := xz[n0:][:ni]
+			yzr := yz[n0:][:ni]
+			zxxr := zxx[n0:][:ni]
+			zyyr := zyy[n0:][:ni]
+			zzzr := zzz[n0:][:ni]
+			zxyr := zxy[n0:][:ni]
+			zxzr := zxz[n0:][:ni]
+			zyzr := zyz[n0:][:ni]
+			dlamr := dlam[n0:][:ni]
+			dmur := dmu[n0:][:ni]
+			for i := range xxr {
+				p := (i + pari) & 1
+				am, cm := amP[p], cmP[p]
 
 				// Strain increments over this step (dt * strain rate);
 				// shear components are engineering strain, matching the
 				// elastic constitutive update.
-				exx := dh * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
-				eyy := dh * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
-				ezz := dh * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
-				exy := dh * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				exz := dh * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				eyz := dh * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-
-				dl2m := dlam[n] + 2*dmu[n]
-				trace := dlam[n] * (exx + eyy + ezz)
+				exx := dh * (c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i]))
+				eyy := dh * (c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i]))
+				ezz := dh * (c1*(wc[i]-wm1z[i]) + c2*(wp1z[i]-wm2z[i]))
+				exy := dh * (c1*(up1y[i]-uc[i]) + c2*(up2y[i]-um1y[i]) +
+					c1*(vp1x[i]-vc[i]) + c2*(vp2x[i]-vm1x[i]))
+				exz := dh * (c1*(up1z[i]-uc[i]) + c2*(up2z[i]-um1z[i]) +
+					c1*(wp1x[i]-wc[i]) + c2*(wp2x[i]-wm1x[i]))
+				eyz := dh * (c1*(vp1z[i]-vc[i]) + c2*(vp2z[i]-vm1z[i]) +
+					c1*(wp1y[i]-wc[i]) + c2*(wp2y[i]-wm1y[i]))
 
 				// zeta' = am*zeta + cm*deltaM*deps, constitutive-shaped;
 				// the SLS stress is sigma = M_R*eps + zeta (the elastic
 				// kernel supplies the relaxed part), so the correction adds
 				// the memory-variable increment.
-				upd := func(z *float32, drive float32, sig *float32) {
-					zn := am*(*z) + cm*drive
-					*sig += zn - *z
-					*z = zn
-				}
-				upd(&zxx[n], dl2m*exx+trace-dlam[n]*exx, &xx[n])
-				upd(&zyy[n], dl2m*eyy+trace-dlam[n]*eyy, &yy[n])
-				upd(&zzz[n], dl2m*ezz+trace-dlam[n]*ezz, &zz[n])
-				upd(&zxy[n], dmu[n]*exy, &xy[n])
-				upd(&zxz[n], dmu[n]*exz, &xz[n])
-				upd(&zyz[n], dmu[n]*eyz, &yz[n])
+				dl2m := dlamr[i] + 2*dmur[i]
+				trace := dlamr[i] * (exx + eyy + ezz)
+				zn := am*zxxr[i] + cm*(dl2m*exx+trace-dlamr[i]*exx)
+				xxr[i] += zn - zxxr[i]
+				zxxr[i] = zn
+				zn = am*zyyr[i] + cm*(dl2m*eyy+trace-dlamr[i]*eyy)
+				yyr[i] += zn - zyyr[i]
+				zyyr[i] = zn
+				zn = am*zzzr[i] + cm*(dl2m*ezz+trace-dlamr[i]*ezz)
+				zzr[i] += zn - zzzr[i]
+				zzzr[i] = zn
+				zn = am*zxyr[i] + cm*(dmur[i]*exy)
+				xyr[i] += zn - zxyr[i]
+				zxyr[i] = zn
+				zn = am*zxzr[i] + cm*(dmur[i]*exz)
+				xzr[i] += zn - zxzr[i]
+				zxzr[i] = zn
+				zn = am*zyzr[i] + cm*(dmur[i]*eyz)
+				yzr[i] += zn - zyzr[i]
+				zyzr[i] = zn
 			}
 		}
 	}
-}
-
-// ApplyParallel runs Apply over k-slabs on nthreads worker goroutines
-// (the §IV.D hybrid mode); results are bit-identical to Apply.
-func (a *Model) ApplyParallel(s *fd.State, m *medium.Medium, dt float64, box fd.Box, nthreads int) {
-	fd.ForEachKSlab(box, nthreads, func(sub fd.Box) {
-		a.Apply(s, m, dt, sub)
-	})
 }
 
 // ApplyTiled runs Apply over the j/k tiles of box on the persistent pool;

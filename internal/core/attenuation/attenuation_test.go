@@ -1,6 +1,7 @@
 package attenuation
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -62,6 +63,128 @@ func TestMechanismDistributionCoversAll(t *testing.T) {
 	// Translation invariance with period 2.
 	if mechAt(3, 5, 7) != mechAt(1, 1, 1) || mechAt(4, 6, 8) != mechAt(0, 0, 0) {
 		t.Fatal("mechanism assignment not 2-periodic")
+	}
+	// The kernels' per-row table selects the same mechanism as mechAt.
+	d := grid.Dims{NX: 4, NY: 4, NZ: 4}
+	a := New(makeMedium(t, cvm.Homogeneous(cvm.Material{Vp: 6000, Vs: 3464, Rho: 2700}), d, 100), DefaultBand, 1e-3)
+	a.Origin = [3]int{1, 2, 5}
+	for k := 0; k < 2; k++ {
+		for j := 0; j < 2; j++ {
+			am, cm := a.rowMech(j, k)
+			for i := 0; i < 2; i++ {
+				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
+				p := (i + a.Origin[0]) & 1
+				if am[p] != a.am[mm] || cm[p] != a.cm[mm] {
+					t.Fatalf("rowMech(%d,%d)[%d] != mechanism %d", j, k, p, mm)
+				}
+			}
+		}
+	}
+}
+
+// mechAt returns the relaxation mechanism index for point (i,j,k), cycling
+// through the 2x2x2 cell parity (the coarse-grained distribution).
+func mechAt(i, j, k int) int {
+	return ((k&1)<<2 | (j&1)<<1 | (i & 1)) % NRelax
+}
+
+// applyOracle is the per-point reference form of Apply: whole-array
+// indexing, the mechanism looked up per point through mechAt, and one
+// closure call per component. Apply's row-window loop must match it bit
+// for bit.
+func (a *Model) applyOracle(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
+	c1, c2 := float32(fd.C1), float32(fd.C2)
+	dh := float32(dt / m.H)
+	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
+	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
+	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
+	zxx, zyy, zzz := a.ZXX.Data(), a.ZYY.Data(), a.ZZZ.Data()
+	zxy, zxz, zyz := a.ZXY.Data(), a.ZXZ.Data(), a.ZYZ.Data()
+	dlam, dmu := a.DLam.Data(), a.DMu.Data()
+	dx, dy, dz := s.VX.Strides()
+
+	for k := box.K0; k < box.K1; k++ {
+		for j := box.J0; j < box.J1; j++ {
+			for i := box.I0; i < box.I1; i++ {
+				n := s.VX.Idx(i, j, k)
+				mm := mechAt(i+a.Origin[0], j+a.Origin[1], k+a.Origin[2])
+				am, cm := a.am[mm], a.cm[mm]
+
+				exx := dh * (c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx]))
+				eyy := dh * (c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy]))
+				ezz := dh * (c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz]))
+				exy := dh * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
+					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
+				exz := dh * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
+					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
+				eyz := dh * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
+					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
+
+				dl2m := dlam[n] + 2*dmu[n]
+				trace := dlam[n] * (exx + eyy + ezz)
+				upd := func(z *float32, drive float32, sig *float32) {
+					zn := am*(*z) + cm*drive
+					*sig += zn - *z
+					*z = zn
+				}
+				upd(&zxx[n], dl2m*exx+trace-dlam[n]*exx, &xx[n])
+				upd(&zyy[n], dl2m*eyy+trace-dlam[n]*eyy, &yy[n])
+				upd(&zzz[n], dl2m*ezz+trace-dlam[n]*ezz, &zz[n])
+				upd(&zxy[n], dmu[n]*exy, &xy[n])
+				upd(&zxz[n], dmu[n]*exz, &xz[n])
+				upd(&zyz[n], dmu[n]*eyz, &yz[n])
+			}
+		}
+	}
+}
+
+// Apply's row-window loop must reproduce the per-point oracle bit for bit
+// over several steps, for every origin parity and for boxes starting at
+// odd and even I0 (the row parity table is keyed on the global x parity
+// of the box's first column).
+func TestApplyMatchesOracle(t *testing.T) {
+	d := grid.Dims{NX: 13, NY: 11, NZ: 10}
+	m := makeMedium(t, cvm.SoCal(1300, 1100, 1000, 400), d, 100)
+	dt := m.StableDt(0.5)
+	boxes := []fd.Box{
+		fd.FullBox(d),
+		{I0: 1, I1: 12, J0: 2, J1: 9, K0: 1, K1: 8},
+		{I0: 3, I1: 4, J0: 0, J1: 11, K0: 0, K1: 10}, // single odd column
+		{I0: 4, I1: 11, J0: 5, J1: 6, K0: 3, K1: 4},  // single row
+	}
+	origins := [][3]int{{0, 0, 0}, {1, 0, 0}, {0, 1, 1}, {1, 1, 1}, {3, 5, 7}}
+	for bi, box := range boxes {
+		for _, origin := range origins {
+			sRef := fillStateSeeded(d, int64(200+bi))
+			sGot := sRef.Clone()
+			aRef := New(m, DefaultBand, dt)
+			aGot := New(m, DefaultBand, dt)
+			aRef.Origin, aGot.Origin = origin, origin
+			for step := 0; step < 3; step++ {
+				aRef.applyOracle(sRef, m, dt, box)
+				aGot.Apply(sGot, m, dt, box)
+			}
+			label := fmt.Sprintf("box %v origin %v", box, origin)
+			expectStatesEqual(t, sGot, sRef, label)
+			expectMemVarsEqual(t, aGot, aRef, label)
+		}
+	}
+}
+
+// The per-step kernels run once per tile per step, so they must not
+// allocate.
+func TestKernelsAllocFree(t *testing.T) {
+	d := grid.Dims{NX: 10, NY: 9, NZ: 8}
+	m := makeMedium(t, cvm.SoCal(1000, 900, 800, 400), d, 100)
+	dt := m.StableDt(0.5)
+	a := New(m, DefaultBand, dt)
+	s := fillStateSeeded(d, 5)
+	box := fd.FullBox(d)
+	if n := testing.AllocsPerRun(10, func() { a.Apply(s, m, dt, box) }); n != 0 {
+		t.Errorf("Apply allocates %v times per call", n)
+	}
+	if n := testing.AllocsPerRun(10, func() { a.FusedStress(s, m, dt, box) }); n != 0 {
+		t.Errorf("FusedStress allocates %v times per call", n)
 	}
 }
 

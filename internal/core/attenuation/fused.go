@@ -15,8 +15,8 @@ import (
 // instead of twice (one read/modify/write of XX..YZ instead of the
 // UpdateStress + Apply pair re-streaming all six fields).
 //
-// Results are bit-identical to fd.UpdateStress(Precomp/Fused) followed by
-// Apply over the same box:
+// Results are bit-identical to fd.UpdateStress followed by Apply over the
+// same box, for every kernel variant:
 //
 //   - The elastic update at point n reads only velocities and material
 //     arrays and writes stress at n; the memory-variable update reads only
@@ -31,9 +31,8 @@ import (
 //     expressions round identically.
 //
 // The loop uses the same per-row, per-offset subslice windows as the fd
-// Fused kernels (see fd/fused.go) so the inner loop carries no bounds
-// checks; the per-mechanism recursion coefficients reduce to a two-entry
-// table per row because only the x parity varies along a row.
+// production kernels (see fd/fused.go) so the inner loop carries no bounds
+// checks, and the same two-entry per-row mechanism table as Apply.
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
@@ -54,22 +53,11 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	_, dy, dz := s.VX.Strides()
 	ni := box.I1 - box.I0
 
-	var amf, cmf [NRelax]float32
-	for mm := 0; mm < NRelax; mm++ {
-		amf[mm] = float32(a.am[mm])
-		cmf[mm] = float32(a.cm[mm])
-	}
 	pari := (box.I0 + a.Origin[0]) & 1
 
 	for k := box.K0; k < box.K1; k++ {
-		gkbit := ((k + a.Origin[2]) & 1) << 2
 		for j := box.J0; j < box.J1; j++ {
-			// Only the x parity varies along a row: collapse the mechanism
-			// table to the two entries this row can select.
-			base := gkbit | ((j+a.Origin[1])&1)<<1
-			amP := [2]float32{amf[base], amf[base|1]}
-			cmP := [2]float32{cmf[base], cmf[base|1]}
-
+			amP, cmP := a.rowMech(j, k)
 			n0 := s.VX.Idx(box.I0, j, k)
 			uc := u[n0:][:ni]
 			um2x := u[n0-2:][:ni]
@@ -121,7 +109,7 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 			dlamr := dlam[n0:][:ni]
 			dmur := dmu[n0:][:ni]
 			for i := range xxr {
-				// Elastic constitutive update (== stressPrecomp).
+				// Elastic constitutive update (== fd.UpdateStress).
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])
 				eyy := c1*(vc[i]-vm1y[i]) + c2*(vp1y[i]-vm2y[i])
 				ezz := c1*(wc[i]-wm1z[i]) + c2*(wp1z[i]-wm2z[i])
@@ -131,14 +119,16 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 					c1*(wp1x[i]-wc[i]) + c2*(wp2x[i]-wm1x[i])
 				dyz := c1*(vp1z[i]-vc[i]) + c2*(vp2z[i]-vm1z[i]) +
 					c1*(wp1y[i]-wc[i]) + c2*(wp2y[i]-wm1y[i])
-				xxr[i] += dth * (l2mr[i]*exx + lamr[i]*(eyy+ezz))
-				yyr[i] += dth * (l2mr[i]*eyy + lamr[i]*(exx+ezz))
-				zzr[i] += dth * (l2mr[i]*ezz + lamr[i]*(exx+eyy))
-				xyr[i] += dth * mxyr[i] * dxy
-				xzr[i] += dth * mxzr[i] * dxz
-				yzr[i] += dth * myzr[i] * dyz
+				// The elastic result stays in registers; each stress is
+				// stored once, after its memory-variable correction.
+				sxx := xxr[i] + dth*(l2mr[i]*exx+lamr[i]*(eyy+ezz))
+				syy := yyr[i] + dth*(l2mr[i]*eyy+lamr[i]*(exx+ezz))
+				szz := zzr[i] + dth*(l2mr[i]*ezz+lamr[i]*(exx+eyy))
+				sxy := xyr[i] + dth*mxyr[i]*dxy
+				sxz := xzr[i] + dth*mxzr[i]*dxz
+				syz := yzr[i] + dth*myzr[i]*dyz
 
-				// Memory-variable update (== Apply) on the just-written
+				// Memory-variable update (== Apply) on the just-updated
 				// stress: zeta' = am*zeta + cm*drive, sigma += zeta' - zeta.
 				p := (i + pari) & 1
 				am, cm := amP[p], cmP[p]
@@ -148,22 +138,22 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 				dl2m := dlamr[i] + 2*dmur[i]
 				trace := dlamr[i] * (aexx + aeyy + aezz)
 				zn := am*zxxr[i] + cm*(dl2m*aexx+trace-dlamr[i]*aexx)
-				xxr[i] += zn - zxxr[i]
+				xxr[i] = sxx + (zn - zxxr[i])
 				zxxr[i] = zn
 				zn = am*zyyr[i] + cm*(dl2m*aeyy+trace-dlamr[i]*aeyy)
-				yyr[i] += zn - zyyr[i]
+				yyr[i] = syy + (zn - zyyr[i])
 				zyyr[i] = zn
 				zn = am*zzzr[i] + cm*(dl2m*aezz+trace-dlamr[i]*aezz)
-				zzr[i] += zn - zzzr[i]
+				zzr[i] = szz + (zn - zzzr[i])
 				zzzr[i] = zn
 				zn = am*zxyr[i] + cm*(dmur[i]*(dth*dxy))
-				xyr[i] += zn - zxyr[i]
+				xyr[i] = sxy + (zn - zxyr[i])
 				zxyr[i] = zn
 				zn = am*zxzr[i] + cm*(dmur[i]*(dth*dxz))
-				xzr[i] += zn - zxzr[i]
+				xzr[i] = sxz + (zn - zxzr[i])
 				zxzr[i] = zn
 				zn = am*zyzr[i] + cm*(dmur[i]*(dth*dyz))
-				yzr[i] += zn - zyzr[i]
+				yzr[i] = syz + (zn - zyzr[i])
 				zyzr[i] = zn
 			}
 		}

@@ -54,8 +54,9 @@ func expectMemVarsEqual(t *testing.T, got, want *Model, label string) {
 	}
 }
 
-// FusedStress must be bit-identical to the two-pass UpdateStress + Apply
-// over multiple steps, including with a nonzero coarse-graining origin (as
+// FusedStress must be bit-identical to the two-pass whole-array reference
+// (fd.Naive stress update, then the per-point Apply oracle) over multiple
+// steps, including with a nonzero coarse-graining origin (as
 // a decomposed rank sees) and a heterogeneous Q model.
 func TestFusedStressBitIdenticalMultiStep(t *testing.T) {
 	d := grid.Dims{NX: 14, NY: 13, NZ: 11}
@@ -71,9 +72,9 @@ func TestFusedStressBitIdenticalMultiStep(t *testing.T) {
 	aFus.Origin = aRef.Origin
 
 	for step := 0; step < 4; step++ {
-		fd.UpdateVelocity(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-		fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-		aRef.Apply(sRef, m, dt, box)
+		fd.UpdateVelocity(sRef, m, dt, box, fd.Naive, fd.Blocking{})
+		fd.UpdateStress(sRef, m, dt, box, fd.Naive, fd.Blocking{})
+		aRef.applyOracle(sRef, m, dt, box)
 
 		fd.UpdateVelocity(sFus, m, dt, box, fd.Fused, fd.Blocking{})
 		aFus.FusedStress(sFus, m, dt, box)
@@ -102,8 +103,8 @@ func TestFusedStressSubBoxParity(t *testing.T) {
 			aRef.Origin = origin
 			aFus.Origin = origin
 
-			fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-			aRef.Apply(sRef, m, dt, box)
+			fd.UpdateStress(sRef, m, dt, box, fd.Naive, fd.Blocking{})
+			aRef.applyOracle(sRef, m, dt, box)
 			aFus.FusedStress(sFus, m, dt, box)
 
 			expectStatesEqual(t, sFus, sRef, "sub-box")
@@ -120,8 +121,8 @@ func TestFusedStressTiledBitIdentical(t *testing.T) {
 
 	sRef := fillStateSeeded(d, 11)
 	aRef := New(m, DefaultBand, dt)
-	fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-	aRef.Apply(sRef, m, dt, box)
+	fd.UpdateStress(sRef, m, dt, box, fd.Naive, fd.Blocking{})
+	aRef.applyOracle(sRef, m, dt, box)
 
 	for _, threads := range []int{1, 3, 8} {
 		p := sched.NewPool(threads)
@@ -185,8 +186,8 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 		aRef.Origin = origin
 		aFus.Origin = origin
 
-		fd.UpdateStress(sRef, m, dt, box, fd.Precomp, fd.Blocking{})
-		aRef.Apply(sRef, m, dt, box)
+		fd.UpdateStress(sRef, m, dt, box, fd.Naive, fd.Blocking{})
+		aRef.applyOracle(sRef, m, dt, box)
 		aFus.FusedStress(sFus, m, dt, box)
 
 		expectStatesEqual(t, sFus, sRef, "fuzz")

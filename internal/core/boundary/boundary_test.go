@@ -519,3 +519,84 @@ func TestSpongeApplySurfaceFusedBitIdentical(t *testing.T) {
 		}
 	}
 }
+
+// spongeOracle damps every padded cell of every component by the taper
+// product fx*(fy*fz), each factor taken straight from factorAxis — the
+// per-cell definition the row kernels (x-zone column ranges, hoisted y/z
+// products, pooled planes) must reproduce bit for bit.
+func spongeOracle(sp *Sponge, s *fd.State) {
+	g := grid.Ghost
+	l, gl := sp.Local, sp.Global
+	for _, f := range s.Fields() {
+		for k := -g; k < l.NZ+g; k++ {
+			fz := sp.factorAxis(sp.Off[2]+k, gl.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
+			for j := -g; j < l.NY+g; j++ {
+				fyz := sp.factorAxis(sp.Off[1]+j, gl.NY, sp.Faces.YLo, sp.Faces.YHi) * fz
+				for i := -g; i < l.NX+g; i++ {
+					t := sp.factorAxis(sp.Off[0]+i, gl.NX, sp.Faces.XLo, sp.Faces.XHi) * fyz
+					if t != 1 {
+						f.Set(i, j, k, f.At(i, j, k)*t)
+					}
+				}
+			}
+		}
+	}
+}
+
+// The sponge's row kernels must match the per-cell oracle on subgrids
+// inside, straddling and beyond the zones, with overlapping zones (global
+// extent under twice the width), single faces and no x faces at all; and
+// ApplySurfaceFused must damp identically.
+func TestSpongeMatchesPerCellOracle(t *testing.T) {
+	cases := []struct {
+		name          string
+		local, global grid.Dims
+		off           [3]int
+		width         int
+		faces         FaceSet
+	}{
+		{"single-rank", grid.Dims{NX: 20, NY: 14, NZ: 12}, grid.Dims{NX: 20, NY: 14, NZ: 12}, [3]int{}, 5, AllAbsorbing()},
+		{"low-corner", grid.Dims{NX: 9, NY: 8, NZ: 7}, grid.Dims{NX: 40, NY: 40, NZ: 40}, [3]int{}, 6, AllAbsorbing()},
+		{"inside-x-zone", grid.Dims{NX: 5, NY: 8, NZ: 7}, grid.Dims{NX: 40, NY: 16, NZ: 14}, [3]int{2, 4, 0}, 9, AllAbsorbing()},
+		{"high-corner", grid.Dims{NX: 10, NY: 9, NZ: 8}, grid.Dims{NX: 30, NY: 29, NZ: 28}, [3]int{20, 20, 20}, 6, AllAbsorbing()},
+		{"overlapping-zones", grid.Dims{NX: 7, NY: 6, NZ: 5}, grid.Dims{NX: 7, NY: 6, NZ: 5}, [3]int{}, 5, AllAbsorbing()},
+		{"x-high-only", grid.Dims{NX: 12, NY: 7, NZ: 6}, grid.Dims{NX: 24, NY: 7, NZ: 6}, [3]int{12, 0, 0}, 5, FaceSet{XHi: true}},
+		{"no-x-faces", grid.Dims{NX: 12, NY: 10, NZ: 9}, grid.Dims{NX: 12, NY: 10, NZ: 9}, [3]int{}, 4, FaceSet{YLo: true, ZHi: true}},
+	}
+	for _, tc := range cases {
+		sp := NewSpongeGlobal(tc.local, tc.global, tc.off, tc.width, 0.1, tc.faces)
+		ref := fill2(tc.local)
+		spongeOracle(sp, ref)
+		for _, threads := range []int{1, 3} {
+			p := sched.NewPool(threads)
+			s := fill2(tc.local)
+			sp.ApplyPool(s, p)
+			fused := fill2(tc.local)
+			sp.ApplySurfaceFused(fused, p, func(int) {})
+			p.Close()
+			for fi, f := range ref.Fields() {
+				want := f.Data()
+				for n, got := range s.Fields()[fi].Data() {
+					if got != want[n] {
+						t.Fatalf("%s threads=%d: ApplyPool field %d idx %d: %g != %g", tc.name, threads, fi, n, got, want[n])
+					}
+					if fg := fused.Fields()[fi].Data()[n]; fg != want[n] {
+						t.Fatalf("%s threads=%d: ApplySurfaceFused field %d idx %d: %g != %g", tc.name, threads, fi, n, fg, want[n])
+					}
+				}
+			}
+		}
+	}
+}
+
+// The per-step sponge pass must not allocate on a serial pool.
+func TestSpongeApplyPoolAllocFree(t *testing.T) {
+	d := grid.Dims{NX: 12, NY: 10, NZ: 9}
+	sp := NewSponge(d, 4, 0.1, AllAbsorbing())
+	s := fill2(d)
+	for _, p := range []*sched.Pool{nil, sched.NewPool(1)} {
+		if n := testing.AllocsPerRun(10, func() { sp.ApplyPool(s, p) }); n != 0 {
+			t.Errorf("ApplyPool allocates %v times per call", n)
+		}
+	}
+}

@@ -34,6 +34,16 @@ type Sponge struct {
 	Faces  FaceSet // faces of the *global* domain that absorb
 
 	taper []float32 // taper[d] for d in [0, Width)
+
+	// fx, fy, fz are the per-axis tapers over the grid.Ghost-padded local
+	// range, built once; uniform reports that every factor is 1 (the
+	// subgrid is nowhere near an absorbing zone). The tapers rise
+	// monotonically toward the interior, so fx is 1 on one interval of
+	// columns [xLo, xHi) and differs from 1 only on the x-zone columns
+	// outside it.
+	fx, fy, fz []float32
+	uniform    bool
+	xLo, xHi   int
 }
 
 // DefaultSpongeWidth and DefaultSpongeAlpha are the classic Cerjan tuning.
@@ -56,65 +66,73 @@ func NewSpongeGlobal(local, global grid.Dims, off [3]int, width int, alpha float
 		panic(fmt.Sprintf("boundary: invalid sponge width %d", width))
 	}
 	sp := &Sponge{Local: local, Global: global, Off: off, Width: width, Alpha: alpha, Faces: faces}
-	sp.taper = make([]float32, width)
-	for dd := 0; dd < width; dd++ {
+	taper := make([]float32, width)
+	for dd := range taper {
 		x := alpha * float64(width-dd)
-		sp.taper[dd] = float32(math.Exp(-x * x))
+		taper[dd] = float32(math.Exp(-x * x))
+	}
+	sp.taper = taper
+	sp.fx, sp.fy, sp.fz, sp.uniform = sp.factorsG(grid.Ghost)
+	sp.xLo, sp.xHi = len(sp.fx), len(sp.fx)
+	for i, f := range sp.fx {
+		if f == 1 {
+			if sp.xLo == len(sp.fx) {
+				sp.xLo = i
+			}
+			sp.xHi = i + 1
+		}
 	}
 	return sp
 }
 
-// factorAxis returns the taper for global index g along an axis of n
-// global cells with the given absorbing sides, or 1 outside the zones.
+// factorAxis returns the taper for (possibly ghost) global index g along an
+// axis of n global cells with the given absorbing sides, or 1 outside the
+// zones. Ghost indices take the taper of the nearest physical cell.
 func (sp *Sponge) factorAxis(g, n int, lo, hi bool) float32 {
-	if lo && g < sp.Width {
-		d := g
-		if d < 0 {
-			d = 0
-		}
-		return sp.taper[d]
+	t := sp.taper
+	g = clampIdx(g, n)
+	if lo && uint(g) < uint(len(t)) {
+		return t[g]
 	}
-	if hi && g >= n-sp.Width {
-		d := n - 1 - g
-		if d < 0 {
-			d = 0
-		}
-		return sp.taper[d]
+	if d := n - 1 - g; hi && uint(d) < uint(len(t)) {
+		return t[d]
 	}
 	return 1
 }
+
+// item returns s[i] for an index the caller knows lies in [0, len(s)),
+// such as a sched.Pool work-item index, which the compiler cannot see; the
+// unsigned modulo is a no-op on that range and proves the index in bounds,
+// keeping this file free of bounds checks (scripts/check_bce.sh guards it).
+func item[T any](s []T, i int) T { return s[uint(i)%uint(len(s))] }
 
 // Apply damps all nine components in the sponge zones, ghost cells
 // included. Call once per time step, after the stress exchange.
 func (sp *Sponge) Apply(s *fd.State) { sp.ApplyPool(s, nil) }
 
-// ApplyPool is Apply with the per-field k-planes run as a work queue on
-// the persistent pool (nil or serial pool: inline). Planes are disjoint
-// rows of the padded arrays, so the parallel form is race-free and
-// bit-identical to the serial one.
+// ApplyPool is Apply with the padded k-planes run as a work queue on the
+// persistent pool (nil or serial pool: inline, without allocating). Planes
+// are disjoint rows of the padded arrays, so the parallel form is
+// race-free and bit-identical to the serial one.
 func (sp *Sponge) ApplyPool(s *fd.State, p *sched.Pool) {
-	g := grid.Ghost
-	l := sp.Local
-	fx, fy, fz, uniform := sp.factors()
-	if uniform {
+	if sp.uniform {
 		return // subgrid nowhere near an absorbing zone
 	}
-	fields := s.Fields()
-	nz := l.NZ + 2*g
-	p.ForEachN(len(fields)*nz, func(idx int) {
-		f := fields[idx/nz]
-		k := idx%nz - g
-		sp.applyPlane(f, k, fx, fy, fz)
-	})
+	if p.Size() == 1 {
+		for kk := range sp.fz {
+			sp.applyPlanes(s, kk, false)
+		}
+		return
+	}
+	p.ForEachN(len(sp.fz), func(kk int) { sp.applyPlanes(s, kk, false) })
 }
 
 // ApplyBoxFields damps the given fields over box — which may extend into
 // the ghost region, as deep as the fields' ghost width — using the same
 // global-coordinate taper as Apply. It is the windowed form used by the
 // time-tiled engine, where each leapfrog step inside a super-step damps
-// only the skewed window it just updated. Planes of distinct (field, k)
-// pairs are disjoint, so the pooled form is race-free and bit-identical
-// to a serial sweep.
+// only the skewed window it just updated. Distinct k-planes are disjoint,
+// so the pooled form is race-free and bit-identical to a serial sweep.
 func (sp *Sponge) ApplyBoxFields(fields []*grid.Field3, box fd.Box, p *sched.Pool) {
 	if len(fields) == 0 || box.Empty() {
 		return
@@ -124,64 +142,46 @@ func (sp *Sponge) ApplyBoxFields(fields []*grid.Field3, box fd.Box, p *sched.Poo
 	if uniform {
 		return
 	}
-	nk := box.K1 - box.K0
 	w := box.I1 - box.I0
-	p.ForEachN(len(fields)*nk, func(idx int) {
-		f := fields[idx/nk]
-		k := box.K0 + idx%nk
-		zk := fz[k+gw]
-		for j := box.J0; j < box.J1; j++ {
-			fyz := fy[j+gw] * zk
-			if fyz == 1 && !sp.Faces.XLo && !sp.Faces.XHi {
-				continue
-			}
-			base := f.Idx(box.I0, j, k)
-			row := f.Data()[base : base+w]
-			for i := range row {
-				t := fx[box.I0+i+gw] * fyz
-				if t != 1 {
-					row[i] *= t
+	fxb := fx[box.I0+gw:][:w]
+	fyb := fy[box.J0+gw:][:box.J1-box.J0]
+	fzb := fz[box.K0+gw:][:box.K1-box.K0]
+	xzones := sp.Faces.XLo || sp.Faces.XHi
+	p.ForEachN(len(fzb), func(kk int) {
+		zk := item(fzb, kk)
+		for _, f := range fields {
+			for jj, yj := range fyb {
+				fyz := yj * zk
+				if fyz == 1 && !xzones {
+					continue
 				}
+				base := f.Idx(box.I0, box.J0+jj, box.K0+kk)
+				scaleRow(f.Data()[base:][:w], fxb, fyz)
 			}
 		}
 	})
 }
 
-// factors precomputes the per-axis taper over the padded local range;
-// uniform reports that every factor is 1 (nothing to damp).
-func (sp *Sponge) factors() (fx, fy, fz []float32, uniform bool) {
-	return sp.factorsG(grid.Ghost)
-}
-
-// factorsG is factors with a caller-chosen ghost width (the time-tiled
-// engine damps recomputed extension cells up to 4T deep).
+// factorsG precomputes the per-axis taper over the local range padded by
+// g ghost cells (the time-tiled engine damps recomputed extension cells
+// up to 4T deep); uniform reports that every factor is 1 (nothing to
+// damp).
 func (sp *Sponge) factorsG(g int) (fx, fy, fz []float32, uniform bool) {
-	l := sp.Local
-	fx = make([]float32, l.NX+2*g)
-	fy = make([]float32, l.NY+2*g)
-	fz = make([]float32, l.NZ+2*g)
+	axis := func(n, off, global int, lo, hi bool) []float32 {
+		f := make([]float32, n+2*g)
+		for i := range f {
+			f[i] = sp.factorAxis(off+i-g, global, lo, hi)
+			if f[i] != 1 {
+				uniform = false
+			}
+		}
+		return f
+	}
 	uniform = true
-	for i := range fx {
-		gi := clampIdx(sp.Off[0]+i-g, sp.Global.NX)
-		fx[i] = sp.factorAxis(gi, sp.Global.NX, sp.Faces.XLo, sp.Faces.XHi)
-		if fx[i] != 1 {
-			uniform = false
-		}
-	}
-	for j := range fy {
-		gj := clampIdx(sp.Off[1]+j-g, sp.Global.NY)
-		fy[j] = sp.factorAxis(gj, sp.Global.NY, sp.Faces.YLo, sp.Faces.YHi)
-		if fy[j] != 1 {
-			uniform = false
-		}
-	}
-	for k := range fz {
-		gk := clampIdx(sp.Off[2]+k-g, sp.Global.NZ)
-		fz[k] = sp.factorAxis(gk, sp.Global.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
-		if fz[k] != 1 {
-			uniform = false
-		}
-	}
+	l, gl := sp.Local, sp.Global
+	fx = axis(l.NX, sp.Off[0], gl.NX, sp.Faces.XLo, sp.Faces.XHi)
+	fy = axis(l.NY, sp.Off[1], gl.NY, sp.Faces.YLo, sp.Faces.YHi)
+	fz = axis(l.NZ, sp.Off[2], gl.NZ, sp.Faces.ZLo, sp.Faces.ZHi)
 	return fx, fy, fz, uniform
 }
 
@@ -190,72 +190,72 @@ func (sp *Sponge) factorsG(g int) (fx, fy, fz []float32, uniform bool) {
 // three velocity components and then calls surface(j) — the solver's PGV
 // fold — so the row is damped, folded, and still warm in cache, instead of
 // being re-streamed by a separate pass after the sponge. surface must not
-// be nil. The velocity k=0 plane items damp only their ghost-j rows; every
-// other (field, plane) item is unchanged. Work items touch disjoint rows,
-// so the fusion is race-free and the damped values are bit-identical to
-// ApplyPool. When the subgrid is nowhere near an absorbing zone the damping
-// is skipped but the surface rows still run (the fold must happen every
-// step).
+// be nil. In the k=0 plane item the velocity components damp only their
+// ghost-j rows; every other plane is unchanged. Work items touch disjoint
+// rows, so the fusion is race-free and the damped values are
+// bit-identical to ApplyPool. When the subgrid is nowhere near an
+// absorbing zone the damping is skipped but the surface rows still run
+// (the fold must happen every step).
 func (sp *Sponge) ApplySurfaceFused(s *fd.State, p *sched.Pool, surface func(j int)) {
-	g := grid.Ghost
-	l := sp.Local
-	fx, fy, fz, uniform := sp.factors()
-	if uniform {
-		p.ForEachN(l.NY, surface)
+	ny := sp.Local.NY
+	if sp.uniform {
+		p.ForEachN(ny, surface)
 		return
 	}
-	fields := s.Fields()
-	vels := s.Velocities()
-	nz := l.NZ + 2*g
-	nplane := len(fields) * nz
-	p.ForEachN(nplane+l.NY, func(idx int) {
-		if idx < nplane {
-			fi, k := idx/nz, idx%nz-g
-			if k == 0 && fi < len(vels) {
-				// Interior rows of the velocity surface planes belong to
-				// the fused items below; keep only the ghost-j rows here.
-				for j := -g; j < 0; j++ {
-					sp.applyRow(fields[fi], j, 0, fx, fy[j+g]*fz[g])
-				}
-				for j := l.NY; j < l.NY+g; j++ {
-					sp.applyRow(fields[fi], j, 0, fx, fy[j+g]*fz[g])
-				}
-				return
-			}
-			sp.applyPlane(fields[fi], k, fx, fy, fz)
+	nz := len(sp.fz)
+	zs := item(sp.fz, grid.Ghost) // taper of the surface plane k = 0
+	fyi := sp.fy[grid.Ghost:][:ny]
+	p.ForEachN(nz+ny, func(idx int) {
+		if idx < nz {
+			sp.applyPlanes(s, idx, true)
 			return
 		}
-		j := idx - nplane
-		fyz := fy[j+g] * fz[g]
-		for _, f := range vels {
-			sp.applyRow(f, j, 0, fx, fyz)
+		j := idx - nz
+		fyz := item(fyi, j) * zs
+		for _, f := range s.Velocities() {
+			sp.applyRow(f, j, 0, fyz)
 		}
 		surface(j)
 	})
 }
 
-// applyPlane damps one padded k-plane of one field through row slices.
-func (sp *Sponge) applyPlane(f *grid.Field3, k int, fx, fy, fz []float32) {
+// applyPlanes damps padded k-plane kk of all nine components. With
+// surfaceRows set, the interior rows of the velocity components' k=0 plane
+// are left to ApplySurfaceFused's row items.
+func (sp *Sponge) applyPlanes(s *fd.State, kk int, surfaceRows bool) {
 	g := grid.Ghost
-	l := sp.Local
-	zk := fz[k+g]
-	for j := -g; j < l.NY+g; j++ {
-		sp.applyRow(f, j, k, fx, fy[j+g]*zk)
+	zk := item(sp.fz, kk)
+	for fi, f := range s.Fields() {
+		ghostOnly := surfaceRows && kk == g && fi < 3 // VX, VY, VZ lead Fields()
+		for jj, yj := range sp.fy {
+			if ghostOnly && jj >= g && jj < g+sp.Local.NY {
+				continue
+			}
+			sp.applyRow(f, jj-g, kk-g, yj*zk)
+		}
 	}
 }
 
 // applyRow damps one padded x-row of one field; fyz is the combined y/z
-// taper for the row.
-func (sp *Sponge) applyRow(f *grid.Field3, j, k int, fx []float32, fyz float32) {
-	if fyz == 1 && !sp.Faces.XLo && !sp.Faces.XHi {
+// taper for the row. Outside the y/z zones (fyz == 1) the taper is fx
+// itself, so only the x-zone columns are scanned.
+func (sp *Sponge) applyRow(f *grid.Field3, j, k int, fyz float32) {
+	fx := sp.fx
+	base := f.Idx(-grid.Ghost, j, k)
+	row := f.Data()[base:][:len(fx)]
+	if fyz == 1 {
+		scaleRow(row[:sp.xLo], fx[:sp.xLo], 1)
+		scaleRow(row[sp.xHi:], fx[sp.xHi:], 1)
 		return
 	}
-	g := grid.Ghost
-	base := f.Idx(-g, j, k)
-	row := f.Data()[base : base+sp.Local.NX+2*g]
-	for i := range row {
-		t := fx[i] * fyz
-		if t != 1 {
+	scaleRow(row, fx, fyz)
+}
+
+// scaleRow multiplies row by the taper fx*fyz wherever that is not 1.
+func scaleRow(row, fx []float32, fyz float32) {
+	row = row[:len(fx)]
+	for i, f := range fx {
+		if t := f * fyz; t != 1 {
 			row[i] *= t
 		}
 	}

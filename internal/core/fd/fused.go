@@ -2,11 +2,13 @@ package fd
 
 import "repro/internal/medium"
 
-// The Fused kernels restructure Precomp for bounds-check elimination. The
-// whole-array form indexes u[n±2*dz] etc., which the compiler cannot prove
-// in-bounds, so every stencil load carries a bounds check. Here each (j,k)
-// row instead slices one explicit length-ni window per field and stencil
-// offset:
+// The row-window kernels are the production stencil path: every variant
+// that reads the precomputed staggered coefficients (Fused, Precomp,
+// Blocked, Unrolled) runs them. The whole-array form of the same stencil
+// (see velocityDivide) indexes u[n±2*dz] etc., which the compiler cannot
+// prove in-bounds, so every stencil load carries a bounds check. Here each
+// (j,k) row instead slices one explicit length-ni window per field and
+// stencil offset:
 //
 //	ap := a[n0+off:][:ni]    // a[n+off] == ap[i],  i = n-n0
 //
@@ -16,12 +18,13 @@ import "repro/internal/medium"
 // combined form a[lo:hi] leaves len as an opaque difference the prover
 // cannot reduce). Verified by scripts/check_bce.sh with
 // -gcflags=-d=ssa/check_bce; the remaining IsSliceInBounds checks fire once
-// per row, not per point. The arithmetic is operand-for-operand that of
-// velocityPrecomp/stressPrecomp, so results are bit-identical. The ghost
-// frame (grid.Ghost = 2) guarantees every window of an interior box stays
-// inside the backing array.
+// per row, not per point. The arithmetic is operand-for-operand that of the
+// whole-array Naive/Recip kernels with their coefficient expressions
+// replaced by the precomputed arrays, so results are bit-identical to them.
+// The ghost frame (grid.Ghost = 2) guarantees every window of an interior
+// box stays inside the backing array.
 
-// velocityFused is velocityPrecomp with per-row subslice windows.
+// velocityFused is the production velocity kernel.
 func velocityFused(s *State, m *medium.Medium, dt float64, b Box) {
 	dth := float32(dt / m.H)
 	c1, c2 := float32(C1), float32(C2)
@@ -89,8 +92,8 @@ func velocityFused(s *State, m *medium.Medium, dt float64, b Box) {
 	}
 }
 
-// stressFused is stressPrecomp with per-row subslice windows. It performs
-// only the elastic update; when attenuation is enabled the solver calls
+// stressFused is the production stress kernel. It performs only the
+// elastic update; when attenuation is enabled the solver calls
 // attenuation.FusedStress instead, which folds the memory-variable update
 // into the same i-loop.
 func stressFused(s *State, m *medium.Medium, dt float64, b Box) {

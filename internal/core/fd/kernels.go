@@ -7,31 +7,36 @@ import (
 )
 
 // Variant selects a kernel implementation. All variants compute identical
-// results; they differ only in how material coefficients are obtained and
-// how the loops are scheduled, mirroring the §IV.B optimization steps.
+// results bit for bit; they differ only in how material coefficients are
+// obtained and how the loops are scheduled, mirroring the §IV.B
+// optimization steps. Every variant that reads the precomputed staggered
+// coefficient arrays runs the same production row-window kernels
+// (fused.go); Naive and Recip remain as the ablation rungs and as the
+// independent whole-array oracle the production kernels are checked
+// against.
 type Variant int
 
 const (
+	// Fused is the production kernel and the zero value: fully
+	// precomputed coefficients, per-row subslice windows for bounds-check
+	// elimination and, when the solver runs with attenuation, the
+	// coarse-grained memory-variable update fused into the same i-loop.
+	Fused Variant = iota
 	// Naive computes staggered material averages inline with one division
 	// per operand (the pre-2009 code).
-	Naive Variant = iota
+	Naive
 	// Recip uses stored reciprocal Lamé arrays, leaving one division per
 	// harmonic mean (the "reduced division operations" step, +31%).
 	Recip
-	// Precomp uses fully precomputed staggered coefficient arrays — the
+	// Precomp names the paper's precomputed-coefficient rung; it runs the
 	// production kernel.
 	Precomp
-	// Blocked is Precomp with jblock/kblock cache blocking (+7%).
+	// Blocked runs the production kernel over jblock/kblock panels (the
+	// paper's +7% cache-blocking rung).
 	Blocked
-	// Unrolled is Precomp with the inner x loop manually unrolled by 2 (+2%).
+	// Unrolled names the paper's x2 unrolling rung (+2%); it runs the
+	// production kernel.
 	Unrolled
-	// Fused is Precomp restructured for bounds-check elimination (explicit
-	// per-row subslice windows instead of whole-array indexing) and, when
-	// the solver runs with attenuation, fused with the coarse-grained
-	// memory-variable update in the same i-loop — one read/modify/write of
-	// the six stress components per step instead of two. Results are
-	// bit-identical to Precomp (+ the two-pass attenuation path).
-	Fused
 )
 
 func (v Variant) String() string {
@@ -56,20 +61,24 @@ func (v Variant) String() string {
 // rejects unknown values at configuration time instead of panicking deep
 // inside the first UpdateVelocity call.
 func (v Variant) Validate() error {
-	if v < Naive || v > Fused {
-		return fmt.Errorf("fd: unknown kernel variant %d (want %v..%v)", int(v), Naive, Fused)
+	if v < Fused || v > Unrolled {
+		return fmt.Errorf("fd: unknown kernel variant %d", int(v))
 	}
 	return nil
 }
 
+// Precomputed reports whether v runs the production row-window kernels,
+// i.e. is neither of the division-based Naive/Recip rungs.
+func (v Variant) Precomputed() bool { return v != Naive && v != Recip }
+
 // ParseVariant resolves a variant name as used by awp-run -variant.
 func ParseVariant(name string) (Variant, error) {
-	for v := Naive; v <= Fused; v++ {
+	for v := Variant(0); v.Validate() == nil; v++ {
 		if v.String() == name {
 			return v, nil
 		}
 	}
-	return Naive, fmt.Errorf("fd: unknown kernel variant %q (want naive|recip|precomp|blocked|unrolled|fused)", name)
+	return Fused, fmt.Errorf("fd: unknown kernel variant %q (want naive|recip|precomp|blocked|unrolled|fused)", name)
 }
 
 // Blocking carries the cache-blocking factors; the paper's empirically
@@ -90,13 +99,9 @@ func UpdateVelocity(s *State, m *medium.Medium, dt float64, box Box, v Variant, 
 	switch v {
 	case Naive, Recip:
 		velocityDivide(s, m, dt, box, v == Naive)
-	case Precomp:
-		velocityPrecomp(s, m, dt, box)
 	case Blocked:
-		forEachBlock(box, blk, func(b Box) { velocityPrecomp(s, m, dt, b) })
-	case Unrolled:
-		velocityUnrolled(s, m, dt, box)
-	case Fused:
+		forEachBlock(box, blk, func(b Box) { velocityFused(s, m, dt, b) })
+	case Fused, Precomp, Unrolled:
 		velocityFused(s, m, dt, box)
 	default:
 		panic("fd: unknown variant")
@@ -112,13 +117,9 @@ func UpdateStress(s *State, m *medium.Medium, dt float64, box Box, v Variant, bl
 	switch v {
 	case Naive, Recip:
 		stressDivide(s, m, dt, box, v == Naive)
-	case Precomp:
-		stressPrecomp(s, m, dt, box)
 	case Blocked:
-		forEachBlock(box, blk, func(b Box) { stressPrecomp(s, m, dt, b) })
-	case Unrolled:
-		stressUnrolled(s, m, dt, box)
-	case Fused:
+		forEachBlock(box, blk, func(b Box) { stressFused(s, m, dt, b) })
+	case Fused, Precomp, Unrolled:
 		stressFused(s, m, dt, box)
 	default:
 		panic("fd: unknown variant")
@@ -146,67 +147,6 @@ func forEachBlock(box Box, blk Blocking, fn func(Box)) {
 				j1 = box.J1
 			}
 			fn(Box{box.I0, box.I1, jj, j1, kk, k1})
-		}
-	}
-}
-
-// velocityPrecomp is the production velocity kernel: all material
-// coefficients are precomputed staggered arrays, no divisions.
-func velocityPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
-			}
-		}
-	}
-}
-
-// stressPrecomp is the production stress kernel.
-func stressPrecomp(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
-	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			for n, end := n0, n0+(b.I1-b.I0); n < end; n++ {
-				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
-				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
-				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-			}
 		}
 	}
 }
@@ -309,121 +249,4 @@ func hmeanNaive(mu []float32, n, da, db int) float32 {
 // one division (§IV.B "reduced division operations").
 func hmeanRecip(mui []float32, n, da, db int) float32 {
 	return 4 / (mui[n] + mui[n+da] + mui[n+db] + mui[n+da+db])
-}
-
-// velocityUnrolled is velocityPrecomp with the inner loop unrolled by 2
-// (the paper found x2 optimal for the velocity-class subroutines). The
-// unroll bodies are written out inline — a closure call per point would
-// defeat inlining and dominate the loop.
-func velocityUnrolled(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	bx, by, bz := m.BX.Data(), m.BY.Data(), m.BZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			end := n0 + (b.I1 - b.I0)
-			n := n0
-			for ; n+1 < end; n += 2 {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
-				m := n + 1
-				u[m] += dth * bx[m] * (c1*(xx[m+dx]-xx[m]) + c2*(xx[m+2*dx]-xx[m-dx]) +
-					c1*(xy[m]-xy[m-dy]) + c2*(xy[m+dy]-xy[m-2*dy]) +
-					c1*(xz[m]-xz[m-dz]) + c2*(xz[m+dz]-xz[m-2*dz]))
-				v[m] += dth * by[m] * (c1*(xy[m]-xy[m-dx]) + c2*(xy[m+dx]-xy[m-2*dx]) +
-					c1*(yy[m+dy]-yy[m]) + c2*(yy[m+2*dy]-yy[m-dy]) +
-					c1*(yz[m]-yz[m-dz]) + c2*(yz[m+dz]-yz[m-2*dz]))
-				w[m] += dth * bz[m] * (c1*(xz[m]-xz[m-dx]) + c2*(xz[m+dx]-xz[m-2*dx]) +
-					c1*(yz[m]-yz[m-dy]) + c2*(yz[m+dy]-yz[m-2*dy]) +
-					c1*(zz[m+dz]-zz[m]) + c2*(zz[m+2*dz]-zz[m-dz]))
-			}
-			for ; n < end; n++ {
-				u[n] += dth * bx[n] * (c1*(xx[n+dx]-xx[n]) + c2*(xx[n+2*dx]-xx[n-dx]) +
-					c1*(xy[n]-xy[n-dy]) + c2*(xy[n+dy]-xy[n-2*dy]) +
-					c1*(xz[n]-xz[n-dz]) + c2*(xz[n+dz]-xz[n-2*dz]))
-				v[n] += dth * by[n] * (c1*(xy[n]-xy[n-dx]) + c2*(xy[n+dx]-xy[n-2*dx]) +
-					c1*(yy[n+dy]-yy[n]) + c2*(yy[n+2*dy]-yy[n-dy]) +
-					c1*(yz[n]-yz[n-dz]) + c2*(yz[n+dz]-yz[n-2*dz]))
-				w[n] += dth * bz[n] * (c1*(xz[n]-xz[n-dx]) + c2*(xz[n+dx]-xz[n-2*dx]) +
-					c1*(yz[n]-yz[n-dy]) + c2*(yz[n+dy]-yz[n-2*dy]) +
-					c1*(zz[n+dz]-zz[n]) + c2*(zz[n+2*dz]-zz[n-dz]))
-			}
-		}
-	}
-}
-
-// stressUnrolled is stressPrecomp with the inner loop unrolled by 2. As in
-// velocityUnrolled the bodies are written out inline rather than through a
-// per-point closure.
-func stressUnrolled(s *State, m *medium.Medium, dt float64, b Box) {
-	dth := float32(dt / m.H)
-	c1, c2 := float32(C1), float32(C2)
-	u, v, w := s.VX.Data(), s.VY.Data(), s.VZ.Data()
-	xx, yy, zz := s.XX.Data(), s.YY.Data(), s.ZZ.Data()
-	xy, xz, yz := s.XY.Data(), s.XZ.Data(), s.YZ.Data()
-	lam, l2m := m.Lam.Data(), m.Lam2Mu.Data()
-	mxy, mxz, myz := m.MuXY.Data(), m.MuXZ.Data(), m.MuYZ.Data()
-	dx, dy, dz := s.VX.Strides()
-
-	for k := b.K0; k < b.K1; k++ {
-		for j := b.J0; j < b.J1; j++ {
-			n0 := s.VX.Idx(b.I0, j, k)
-			end := n0 + (b.I1 - b.I0)
-			n := n0
-			for ; n+1 < end; n += 2 {
-				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
-				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
-				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-				m := n + 1
-				exx2 := c1*(u[m]-u[m-dx]) + c2*(u[m+dx]-u[m-2*dx])
-				eyy2 := c1*(v[m]-v[m-dy]) + c2*(v[m+dy]-v[m-2*dy])
-				ezz2 := c1*(w[m]-w[m-dz]) + c2*(w[m+dz]-w[m-2*dz])
-				xx[m] += dth * (l2m[m]*exx2 + lam[m]*(eyy2+ezz2))
-				yy[m] += dth * (l2m[m]*eyy2 + lam[m]*(exx2+ezz2))
-				zz[m] += dth * (l2m[m]*ezz2 + lam[m]*(exx2+eyy2))
-				xy[m] += dth * mxy[m] * (c1*(u[m+dy]-u[m]) + c2*(u[m+2*dy]-u[m-dy]) +
-					c1*(v[m+dx]-v[m]) + c2*(v[m+2*dx]-v[m-dx]))
-				xz[m] += dth * mxz[m] * (c1*(u[m+dz]-u[m]) + c2*(u[m+2*dz]-u[m-dz]) +
-					c1*(w[m+dx]-w[m]) + c2*(w[m+2*dx]-w[m-dx]))
-				yz[m] += dth * myz[m] * (c1*(v[m+dz]-v[m]) + c2*(v[m+2*dz]-v[m-dz]) +
-					c1*(w[m+dy]-w[m]) + c2*(w[m+2*dy]-w[m-dy]))
-			}
-			for ; n < end; n++ {
-				exx := c1*(u[n]-u[n-dx]) + c2*(u[n+dx]-u[n-2*dx])
-				eyy := c1*(v[n]-v[n-dy]) + c2*(v[n+dy]-v[n-2*dy])
-				ezz := c1*(w[n]-w[n-dz]) + c2*(w[n+dz]-w[n-2*dz])
-				xx[n] += dth * (l2m[n]*exx + lam[n]*(eyy+ezz))
-				yy[n] += dth * (l2m[n]*eyy + lam[n]*(exx+ezz))
-				zz[n] += dth * (l2m[n]*ezz + lam[n]*(exx+eyy))
-				xy[n] += dth * mxy[n] * (c1*(u[n+dy]-u[n]) + c2*(u[n+2*dy]-u[n-dy]) +
-					c1*(v[n+dx]-v[n]) + c2*(v[n+2*dx]-v[n-dx]))
-				xz[n] += dth * mxz[n] * (c1*(u[n+dz]-u[n]) + c2*(u[n+2*dz]-u[n-dz]) +
-					c1*(w[n+dx]-w[n]) + c2*(w[n+2*dx]-w[n-dx]))
-				yz[n] += dth * myz[n] * (c1*(v[n+dz]-v[n]) + c2*(v[n+2*dz]-v[n-dz]) +
-					c1*(w[n+dy]-w[n]) + c2*(w[n+2*dy]-w[n-dy]))
-			}
-		}
-	}
 }

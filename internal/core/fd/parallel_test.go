@@ -92,7 +92,7 @@ func TestTiledKernelsBitIdenticalAllVariants(t *testing.T) {
 	box := FullBox(d)
 	blk := Blocking{JBlock: 4, KBlock: 8}
 
-	for _, v := range []Variant{Naive, Recip, Precomp, Blocked, Unrolled} {
+	for _, v := range allVariants() {
 		ref := randomState(d, 23)
 		UpdateVelocity(ref, m, dt, box, v, blk)
 		UpdateStress(ref, m, dt, box, v, blk)

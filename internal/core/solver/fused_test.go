@@ -31,27 +31,58 @@ func expectResultsExact(t *testing.T, label string, ref, res *Result) {
 	}
 }
 
-// The fused sweep (single-pass stress+attenuation, folded sponge/PGV) must
-// reproduce the two-pass Precomp reference bit-exactly across every comm
-// model, threading level, and halo discipline — the engine only changes
-// how memory is streamed, never a single arithmetic result.
+// Every kernel variant — the zero value, the division-based whole-array
+// Naive/Recip rungs and the precomputed aliases of the production
+// row-window kernels (fused stress+attenuation sweep, PGV folded into the
+// sponge pass) — must reproduce the serial Naive run bit-exactly, with
+// sponge and M-PML boundaries, attenuation on and off, serial and pooled,
+// on one and two ranks. The comm-model sweep then pins the production
+// kernel against every halo discipline.
 func TestFusedBitIdentityMatrix(t *testing.T) {
 	q := cvm.SoCal(2400, 2400, 1600, 400)
-	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1))) // serial Precomp + ApplyTiled
+	var zero fd.Variant
+	variants := []fd.Variant{zero, fd.Naive, fd.Recip, fd.Blocked, fd.Unrolled, fd.Fused}
+	for _, abc := range []ABCKind{SpongeABC, MPMLABC} {
+		for _, atten := range []bool{true, false} {
+			config := func(topo mpi.Cart, v fd.Variant) Options {
+				opt := baseOptions(topo)
+				opt.ABC = abc
+				opt.PMLWidth = 4
+				opt.Attenuation = atten
+				opt.Variant = v
+				return opt
+			}
+			// Serial Naive: whole-array kernels with inline divisions and
+			// the two-pass attenuation update.
+			ref, err := Run(q, config(mpi.NewCart(1, 1, 1), fd.Naive))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for vi, v := range variants {
+				for _, topo := range []mpi.Cart{mpi.NewCart(1, 1, 1), mpi.NewCart(2, 1, 1)} {
+					for _, threads := range []int{1, 3} {
+						opt := config(topo, v)
+						opt.Threads = threads
+						name := v.String()
+						if vi == 0 {
+							name = "zero-value"
+						}
+						label := fmt.Sprintf("abc=%d atten=%v %s %dx1x1 threads=%d", abc, atten, name, topo.PX, threads)
+						res, err := Run(q, opt)
+						if err != nil {
+							t.Fatalf("%s: %v", label, err)
+						}
+						expectResultsExact(t, label, ref, res)
+					}
+				}
+			}
+		}
+	}
+
+	ref, err := Run(q, baseOptions(mpi.NewCart(1, 1, 1)))
 	if err != nil {
 		t.Fatal(err)
 	}
-
-	// Serial fused first: isolates the kernel restructuring from the
-	// decomposition.
-	serial := baseOptions(mpi.NewCart(1, 1, 1))
-	serial.Variant = fd.Fused
-	res, err := Run(q, serial)
-	if err != nil {
-		t.Fatal(err)
-	}
-	expectResultsExact(t, "serial fused", ref, res)
-
 	for _, model := range []CommModel{Synchronous, Asynchronous, AsyncReduced, AsyncOverlap} {
 		for _, threads := range []int{1, 4} {
 			for _, coalesce := range []bool{false, true} {

@@ -261,7 +261,7 @@ type rankState struct {
 	pgvy      []float64
 	pgvz      []float64
 	// pgvFolded marks that the PGV fold rides inside the sponge's fused
-	// surface pass (Fused variant + sponge ABC), so the Output-phase
+	// surface pass (precomputed variant + sponge ABC), so the Output-phase
 	// trackPGV call must not fold a second time.
 	pgvFolded bool
 }
@@ -484,12 +484,13 @@ func (rs *rankState) advance(opt Options, dt, tNow float64, tm *Timing) {
 // attenuation time is still attributed separately; Span.End is safe from
 // concurrent pool workers.
 func (rs *rankState) stressTile(opt Options, dt float64) func(fd.Box) {
-	if opt.Variant == fd.Fused && rs.atten != nil {
+	if opt.Variant.Precomputed() && rs.atten != nil {
 		// Fully fused sweep: the memory-variable update runs point-by-point
 		// inside the elastic i-loop, one read/modify/write of the six
 		// stress fields per step instead of two. Bit-identical to the
-		// two-pass tile below; the combined time lands in the Stress span
-		// (there is no separate attenuation pass to time).
+		// two-pass tile below, which only the Naive/Recip ablation kernels
+		// take; the combined time lands in the Stress span (there is no
+		// separate attenuation pass to time).
 		return func(b fd.Box) {
 			sp := rs.tel.Span(telemetry.Stress)
 			rs.atten.FusedStress(rs.st, rs.med, dt, b)

@@ -290,7 +290,7 @@ func NewStepper(c *mpi.Comm, q cvm.Querier, dc decomp.Decomp, opt Options) (*Ste
 		rs.pgvy = make([]float64, n)
 		rs.pgvz = make([]float64, n)
 	}
-	rs.pgvFolded = opt.Variant == fd.Fused && rs.sponge != nil && rs.pgvh != nil &&
+	rs.pgvFolded = opt.Variant.Precomputed() && rs.sponge != nil && rs.pgvh != nil &&
 		opt.TemporalDepth <= 1
 
 	if so := opt.Surface; so != nil {

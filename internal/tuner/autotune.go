@@ -21,13 +21,15 @@ import (
 
 // The heuristic Tune above encodes the paper's Jaguar-era decision rules;
 // the kernel autotuner below replaces the hard-coded {JBlock:8, KBlock:16}
-// with a startup micro-benchmark on the actual machine: it sweeps kernel
-// variant x blocking factors on a representative tile of the per-rank
-// subgrid, picks the fastest, and caches the winner in a JSON profile keyed
-// by grid shape + threads + GOMAXPROCS so later runs skip the benchmark
-// entirely (awp-run -variant=auto).
+// with a startup micro-benchmark on the actual machine: it sweeps blocking
+// factors x temporal depth of the production kernel on a representative
+// tile of the per-rank subgrid, picks the fastest, and caches the winner in
+// a JSON profile keyed by grid shape + threads + GOMAXPROCS so later runs
+// skip the benchmark entirely (awp-run -variant=auto).
 
-// KernelChoice is the autotuned kernel configuration.
+// KernelChoice is the autotuned kernel configuration. Variant is always
+// the production kernel (fd.Fused) for a fresh sweep; a cached profile
+// entry may name any of its precomputed aliases.
 type KernelChoice struct {
 	Variant  fd.Variant
 	Blocking fd.Blocking
@@ -56,10 +58,9 @@ type AutotuneOptions struct {
 	Dims grid.Dims
 	// Threads is the per-rank worker-pool size the run will use.
 	Threads int
-	// Attenuation includes the memory-variable update in the benchmarked
-	// sweep (it roughly doubles stress-phase traffic on the two-pass path,
-	// which is exactly what the Fused variant removes — tuning without it
-	// would mis-rank the candidates).
+	// Attenuation includes the fused memory-variable update in the
+	// benchmarked sweep (it nearly doubles the stress phase's streamed
+	// bytes, so tuning without it would mis-rank the blockings).
 	Attenuation bool
 	// LTS marks that the run uses multi-rate local time stepping, which
 	// is mutually exclusive with temporal tiling: the candidate sweep is
@@ -75,7 +76,7 @@ type AutotuneOptions struct {
 
 	// benchFn replaces the micro-benchmark in tests; it returns ns/cell/step
 	// for one candidate.
-	benchFn func(v fd.Variant, blk fd.Blocking, tdepth int) float64
+	benchFn func(blk fd.Blocking, tdepth int) float64
 }
 
 // profileEntry is the cached winner for one key.
@@ -129,12 +130,11 @@ func profileKey(d grid.Dims, threads int, atten, lts bool) string {
 	return key
 }
 
-// autotuneCandidates returns the (variant, blocking) sweep. Precomp is the
-// unblocked baseline; Blocked/Unrolled are the paper's §IV.B ladder;
-// Fused is the subslice-window engine. The blocking also shapes the pool
-// tiles, so it matters for every variant.
+// autotuneCandidates returns the blocking x temporal-depth sweep of the
+// production kernel (every precomputed variant runs it, so a variant axis
+// would only re-measure one kernel). The blocking also shapes the pool
+// tiles and the temporal chunks.
 func autotuneCandidates(quick, lts bool) []KernelChoice {
-	variants := []fd.Variant{fd.Blocked, fd.Unrolled, fd.Fused}
 	blockings := []fd.Blocking{
 		{JBlock: 4, KBlock: 8},
 		{JBlock: 8, KBlock: 8},
@@ -152,11 +152,9 @@ func autotuneCandidates(quick, lts bool) []KernelChoice {
 		depths = []int{1}
 	}
 	var out []KernelChoice
-	for _, v := range variants {
-		for _, b := range blockings {
-			for _, td := range depths {
-				out = append(out, KernelChoice{Variant: v, Blocking: b, TemporalDepth: td})
-			}
+	for _, b := range blockings {
+		for _, td := range depths {
+			out = append(out, KernelChoice{Variant: fd.Fused, Blocking: b, TemporalDepth: td})
 		}
 	}
 	return out
@@ -210,15 +208,15 @@ func AutotuneKernels(opt AutotuneOptions) (KernelChoice, []KernelSample, error) 
 			return KernelChoice{}, nil, err
 		}
 		defer env.close()
-		bench = func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
-			return env.measure(v, blk, tdepth, reps)
+		bench = func(blk fd.Blocking, tdepth int) float64 {
+			return env.measure(blk, tdepth, reps)
 		}
 	}
 
 	best := KernelChoice{NsPerCell: math.Inf(1)}
 	var samples []KernelSample
 	for _, cand := range autotuneCandidates(opt.Quick, opt.LTS) {
-		ns := bench(cand.Variant, cand.Blocking, cand.TemporalDepth)
+		ns := bench(cand.Blocking, cand.TemporalDepth)
 		samples = append(samples, KernelSample{
 			Variant: cand.Variant.String(),
 			JBlock:  cand.Blocking.JBlock, KBlock: cand.Blocking.KBlock,
@@ -349,21 +347,16 @@ func (e *benchEnv) close() { e.pool.Close() }
 // velocity+stress(+attenuation) sweep; at tdepth > 1 it is one
 // time-skewed super-step (fd.SuperStepSweep) advancing tdepth steps, and
 // the measured time is divided by tdepth so depths rank on equal terms.
-func (e *benchEnv) measure(v fd.Variant, blk fd.Blocking, tdepth, reps int) float64 {
+func (e *benchEnv) measure(blk fd.Blocking, tdepth, reps int) float64 {
 	box := fd.FullBox(e.dims)
 	velocity := func(b fd.Box) {
-		fd.UpdateVelocityTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
+		fd.UpdateVelocityTiled(e.state, e.med, e.dt, b, fd.Fused, blk, e.pool)
 	}
 	stress := func(b fd.Box) {
 		if e.atten != nil {
-			if v == fd.Fused {
-				e.atten.FusedStressTiled(e.state, e.med, e.dt, b, blk, e.pool)
-			} else {
-				fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
-				e.atten.ApplyTiled(e.state, e.med, e.dt, b, blk, e.pool)
-			}
+			e.atten.FusedStressTiled(e.state, e.med, e.dt, b, blk, e.pool)
 		} else {
-			fd.UpdateStressTiled(e.state, e.med, e.dt, b, v, blk, e.pool)
+			fd.UpdateStressTiled(e.state, e.med, e.dt, b, fd.Fused, blk, e.pool)
 		}
 	}
 	nsteps := 1.0

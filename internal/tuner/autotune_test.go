@@ -20,14 +20,11 @@ func TestAutotuneRoundTrip(t *testing.T) {
 		Dims:      grid.Dims{NX: 96, NY: 80, NZ: 64},
 		Threads:   4,
 		CachePath: cache,
-		benchFn: func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
+		benchFn: func(blk fd.Blocking, tdepth int) float64 {
 			calls++
-			// Craft a clear winner: Fused {16,16} at depth 2.
-			cost := 10.0
-			if v == fd.Fused {
-				cost = 5.0
-			}
-			if v == fd.Fused && blk.JBlock == 16 && blk.KBlock == 16 {
+			// Craft a clear winner: {16,16} at depth 2.
+			cost := 5.0
+			if blk.JBlock == 16 && blk.KBlock == 16 {
 				cost = 2.0
 				if tdepth == 2 {
 					cost = 1.0
@@ -81,7 +78,7 @@ func TestAutotuneKeySeparation(t *testing.T) {
 	mk := func(d grid.Dims, threads int, atten bool) AutotuneOptions {
 		return AutotuneOptions{
 			Dims: d, Threads: threads, Attenuation: atten, CachePath: cache,
-			benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+			benchFn: func(fd.Blocking, int) float64 { calls++; return 1 },
 		}
 	}
 	base := grid.Dims{NX: 32, NY: 32, NZ: 32}
@@ -118,7 +115,7 @@ func TestAutotuneCorruptProfile(t *testing.T) {
 	calls := 0
 	opt := AutotuneOptions{
 		Dims: grid.Dims{NX: 16, NY: 16, NZ: 16}, Threads: 1, CachePath: cache,
-		benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+		benchFn: func(fd.Blocking, int) float64 { calls++; return 1 },
 	}
 	if _, _, err := AutotuneKernels(opt); err != nil {
 		t.Fatal(err)
@@ -200,7 +197,7 @@ func TestAutotuneProfileVersionMismatch(t *testing.T) {
 	calls := 0
 	opt := AutotuneOptions{
 		Dims: grid.Dims{NX: 16, NY: 16, NZ: 16}, Threads: 1, CachePath: cache,
-		benchFn: func(fd.Variant, fd.Blocking, int) float64 { calls++; return 1 },
+		benchFn: func(fd.Blocking, int) float64 { calls++; return 1 },
 	}
 	if _, _, err := AutotuneKernels(opt); err != nil {
 		t.Fatal(err)
@@ -254,7 +251,7 @@ func TestAutotuneLTSKeySeparation(t *testing.T) {
 		Dims:      grid.Dims{NX: 64, NY: 48, NZ: 32},
 		Threads:   2,
 		CachePath: cache,
-		benchFn: func(v fd.Variant, blk fd.Blocking, tdepth int) float64 {
+		benchFn: func(blk fd.Blocking, tdepth int) float64 {
 			calls++
 			if tdepth > 1 {
 				return 1.0 // classic tuning prefers depth > 1

@@ -121,13 +121,8 @@ func Tune(in Inputs) Config {
 		cfg.ABC = solver.MPMLABC
 	}
 
-	// Small subgrids fit in cache: blocking buys nothing, skip the tiling
-	// overhead (§IV.B found blocking's 7% at production sizes only).
 	if in.Cores > 0 {
 		cellsPerCore := float64(in.Global.Cells()) / float64(in.Cores)
-		if cellsPerCore < 64*64*64 {
-			cfg.Variant = fd.Precomp
-		}
 		// Tile shape doubles as the pool's work-unit size: the queue needs
 		// ~4 tiles per worker for dynamic load balance when PML trimming
 		// makes panels uneven. Halve the blocking factors (floor 2) until

@@ -51,15 +51,6 @@ func TestStrongGradientsFallBackToSponge(t *testing.T) {
 	}
 }
 
-func TestSmallSubgridsSkipBlocking(t *testing.T) {
-	in := baseInputs()
-	in.Global = grid.Dims{NX: 512, NY: 512, NZ: 256}
-	in.Cores = 4096 // ~16K cells/core: fits in cache
-	if cfg := Tune(in); cfg.Variant != fd.Precomp {
-		t.Errorf("variant = %v, want precomp for cache-resident subgrids", cfg.Variant)
-	}
-}
-
 func TestBGLKeepsSimplerComm(t *testing.T) {
 	in := baseInputs()
 	in.Machine = perfmodel.BGL

@@ -16,7 +16,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 # Files whose inner loops must stay free of per-point bounds checks.
-GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pmlstrip.go'
+GUARDED='internal/core/fd/fused.go internal/core/attenuation/fused.go internal/core/attenuation/attenuation.go internal/core/fd/ttile.go internal/core/fd/lerp.go internal/core/boundary/pmlstrip.go internal/core/boundary/sponge.go'
 
 tmpcache=$(mktemp -d)
 trap 'rm -rf "$tmpcache"' EXIT
