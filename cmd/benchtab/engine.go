@@ -41,7 +41,7 @@ type engineReport struct {
 }
 
 // engine measures the three layers of the persistent execution engine —
-// pool vs spawn scheduling, threaded overlap in the full solver, and the
+// pooled kernel scheduling, threaded overlap in the full solver, and the
 // zero-copy message path — and writes the rows to outPath as JSON.
 func engine(outPath string) {
 	header("Engine: persistent pool, threaded overlap, zero-copy messaging")
@@ -77,8 +77,8 @@ func engine(outPath string) {
 			name, row.NsPerOp, row.MCellsPerS, row.BytesPerOp, row.AllocsPerOp)
 	}
 
-	// Layer 1: scheduling. Same kernels, same thread count; spawn-per-call
-	// k-slabs vs the persistent pool draining j/k tiles.
+	// Layer 1: scheduling. The production kernels drained as j/k tiles by
+	// the persistent pool.
 	d := grid.Dims{NX: 64, NY: 64, NZ: 64}
 	dc, err := decomp.New(d, mpi.NewCart(1, 1, 1))
 	if err != nil {
@@ -89,17 +89,7 @@ func engine(outPath string) {
 	box := fd.FullBox(d)
 	for _, threads := range []int{1, 2, 4} {
 		th := threads
-		add(fmt.Sprintf("pool-vs-spawn/spawn/threads=%d", th), d.Cells(),
-			testing.Benchmark(func(b *testing.B) {
-				s := fd.NewState(d)
-				s.VX.Set(32, 32, 32, 1)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					fd.UpdateVelocityParallel(s, m, dt, box, fd.Blocked, fd.DefaultBlocking, th)
-					fd.UpdateStressParallel(s, m, dt, box, fd.Blocked, fd.DefaultBlocking, th)
-				}
-			}))
-		add(fmt.Sprintf("pool-vs-spawn/pool/threads=%d", th), d.Cells(),
+		add(fmt.Sprintf("pool/threads=%d", th), d.Cells(),
 			testing.Benchmark(func(b *testing.B) {
 				p := sched.NewPool(th)
 				defer p.Close()

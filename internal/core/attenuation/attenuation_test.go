@@ -172,10 +172,10 @@ func TestApplyMatchesOracle(t *testing.T) {
 }
 
 // The per-step kernels run once per tile per step, so they must not
-// allocate.
+// allocate, on either row-body path of FusedStress.
 func TestKernelsAllocFree(t *testing.T) {
-	d := grid.Dims{NX: 10, NY: 9, NZ: 8}
-	m := makeMedium(t, cvm.SoCal(1000, 900, 800, 400), d, 100)
+	d := grid.Dims{NX: 21, NY: 9, NZ: 8}
+	m := makeMedium(t, cvm.SoCal(2100, 900, 800, 400), d, 100)
 	dt := m.StableDt(0.5)
 	a := New(m, DefaultBand, dt)
 	s := fillStateSeeded(d, 5)
@@ -183,8 +183,11 @@ func TestKernelsAllocFree(t *testing.T) {
 	if n := testing.AllocsPerRun(10, func() { a.Apply(s, m, dt, box) }); n != 0 {
 		t.Errorf("Apply allocates %v times per call", n)
 	}
-	if n := testing.AllocsPerRun(10, func() { a.FusedStress(s, m, dt, box) }); n != 0 {
-		t.Errorf("FusedStress allocates %v times per call", n)
+	for _, avx2 := range avx2Paths() {
+		setAVX2(t, avx2)
+		if n := testing.AllocsPerRun(10, func() { a.FusedStress(s, m, dt, box) }); n != 0 {
+			t.Errorf("%s FusedStress allocates %v times per call", pathName(avx2), n)
+		}
 	}
 }
 

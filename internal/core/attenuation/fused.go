@@ -2,11 +2,48 @@ package attenuation
 
 import (
 	"fmt"
+	"unsafe"
 
 	"repro/internal/core/fd"
 	"repro/internal/core/sched"
+	"repro/internal/cpufeat"
 	"repro/internal/medium"
 )
+
+// useAVX2 selects the assembly row body of FusedStress. Tests clear it to
+// run the Go loop over whole rows.
+var useAVX2 = cpufeat.AVX2
+
+// vecCells returns the number of leading cells of an ni-cell row that the
+// assembly row body runs: ni rounded down to a multiple of 8, or 0 without
+// AVX2.
+func vecCells(ni int) int {
+	if !useAVX2 {
+		return 0
+	}
+	return ni &^ 7
+}
+
+// at returns the address of a[n] after checking that a[n:n+span] is in
+// bounds, the range a vector row body reads through it.
+func at(a []float32, n, span int) *float32 { return unsafe.SliceData(a[n:][:span]) }
+
+// fusedRow holds the data pointers of FusedStress's stencil windows at the
+// first cell of a box and the current row's 8-lane mechanism
+// coefficients, for fusedStressRowAVX2. The assembly addresses the fields by their go_asm.h
+// offsets.
+type fusedRow struct {
+	uc, um2x, um1x, up1x, um1y, up1y, up2y, um1z, up1z, up2z *float32
+	vc, vm1x, vp1x, vp2x, vm2y, vm1y, vp1y, vm1z, vp1z, vp2z *float32
+	wc, wm1x, wp1x, wp2x, wm1y, wp1y, wp2y, wm2z, wm1z, wp1z *float32
+
+	xxr, yyr, zzr, xyr, xzr, yzr       *float32
+	lamr, l2mr, mxyr, mxzr, myzr       *float32
+	zxxr, zyyr, zzzr, zxyr, zxzr, zyzr *float32
+	dlamr, dmur                        *float32
+
+	am, cm [8]float32
+}
 
 // FusedStress advances the six stress components and the coarse-grained
 // memory variables over box in a single sweep: the Day (1998) update runs
@@ -32,7 +69,14 @@ import (
 //
 // The loop uses the same per-row, per-offset subslice windows as the fd
 // production kernels (see fd/fused.go) so the inner loop carries no bounds
-// checks, and the same two-entry per-row mechanism table as Apply.
+// checks, and the same two-entry per-row mechanism table as Apply. As in
+// fd, with AVX2 the first nv = ni&^7 cells of each row run through an
+// 8-lane assembly row body (fused_amd64.s) that keeps the Go loop's
+// operands, order and rounding; the Go loop runs the tail [nv, ni). Each
+// 8-cell chunk starts at an even offset from box.I0, so lane l of every
+// chunk selects mechanism parity (l+pari)&1, and the row's am/cm vectors
+// are built once from rowMech; for the same reason the tail loop's
+// window-relative i has the parity of the row-relative cell index.
 func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Box) {
 	if dt != a.dt {
 		panic(fmt.Sprintf("attenuation: model built for dt=%g, called with %g", a.dt, dt))
@@ -52,62 +96,133 @@ func (a *Model) FusedStress(s *fd.State, m *medium.Medium, dt float64, box fd.Bo
 	dlam, dmu := a.DLam.Data(), a.DMu.Data()
 	_, dy, dz := s.VX.Strides()
 	ni := box.I1 - box.I0
+	nv := vecCells(ni)
+	nt := ni - nv
 
 	pari := (box.I0 + a.Origin[0]) & 1
+	var nb int
+	var tab fusedRow
+	if nv > 0 {
+		// The vector reads of all rows lie in [nb+off, nb+off+span) of
+		// each window; at checks that range once per call.
+		nb = s.VX.Idx(box.I0, box.J0, box.K0)
+		span := s.VX.Idx(box.I0, box.J1-1, box.K1-1) - nb + ni
+		tab = fusedRow{
+			uc:    at(u, nb, span),
+			um2x:  at(u, nb-2, span),
+			um1x:  at(u, nb-1, span),
+			up1x:  at(u, nb+1, span),
+			um1y:  at(u, nb-dy, span),
+			up1y:  at(u, nb+dy, span),
+			up2y:  at(u, nb+2*dy, span),
+			um1z:  at(u, nb-dz, span),
+			up1z:  at(u, nb+dz, span),
+			up2z:  at(u, nb+2*dz, span),
+			vc:    at(v, nb, span),
+			vm1x:  at(v, nb-1, span),
+			vp1x:  at(v, nb+1, span),
+			vp2x:  at(v, nb+2, span),
+			vm2y:  at(v, nb-2*dy, span),
+			vm1y:  at(v, nb-dy, span),
+			vp1y:  at(v, nb+dy, span),
+			vm1z:  at(v, nb-dz, span),
+			vp1z:  at(v, nb+dz, span),
+			vp2z:  at(v, nb+2*dz, span),
+			wc:    at(w, nb, span),
+			wm1x:  at(w, nb-1, span),
+			wp1x:  at(w, nb+1, span),
+			wp2x:  at(w, nb+2, span),
+			wm1y:  at(w, nb-dy, span),
+			wp1y:  at(w, nb+dy, span),
+			wp2y:  at(w, nb+2*dy, span),
+			wm2z:  at(w, nb-2*dz, span),
+			wm1z:  at(w, nb-dz, span),
+			wp1z:  at(w, nb+dz, span),
+			xxr:   at(xx, nb, span),
+			yyr:   at(yy, nb, span),
+			zzr:   at(zz, nb, span),
+			xyr:   at(xy, nb, span),
+			xzr:   at(xz, nb, span),
+			yzr:   at(yz, nb, span),
+			lamr:  at(lam, nb, span),
+			l2mr:  at(l2m, nb, span),
+			mxyr:  at(mxy, nb, span),
+			mxzr:  at(mxz, nb, span),
+			myzr:  at(myz, nb, span),
+			zxxr:  at(zxx, nb, span),
+			zyyr:  at(zyy, nb, span),
+			zzzr:  at(zzz, nb, span),
+			zxyr:  at(zxy, nb, span),
+			zxzr:  at(zxz, nb, span),
+			zyzr:  at(zyz, nb, span),
+			dlamr: at(dlam, nb, span),
+			dmur:  at(dmu, nb, span),
+		}
+	}
 
 	for k := box.K0; k < box.K1; k++ {
 		for j := box.J0; j < box.J1; j++ {
 			amP, cmP := a.rowMech(j, k)
 			n0 := s.VX.Idx(box.I0, j, k)
-			uc := u[n0:][:ni]
-			um2x := u[n0-2:][:ni]
-			um1x := u[n0-1:][:ni]
-			up1x := u[n0+1:][:ni]
-			um1y := u[n0-dy:][:ni]
-			up1y := u[n0+dy:][:ni]
-			up2y := u[n0+2*dy:][:ni]
-			um1z := u[n0-dz:][:ni]
-			up1z := u[n0+dz:][:ni]
-			up2z := u[n0+2*dz:][:ni]
-			vc := v[n0:][:ni]
-			vm1x := v[n0-1:][:ni]
-			vp1x := v[n0+1:][:ni]
-			vp2x := v[n0+2:][:ni]
-			vm2y := v[n0-2*dy:][:ni]
-			vm1y := v[n0-dy:][:ni]
-			vp1y := v[n0+dy:][:ni]
-			vm1z := v[n0-dz:][:ni]
-			vp1z := v[n0+dz:][:ni]
-			vp2z := v[n0+2*dz:][:ni]
-			wc := w[n0:][:ni]
-			wm1x := w[n0-1:][:ni]
-			wp1x := w[n0+1:][:ni]
-			wp2x := w[n0+2:][:ni]
-			wm1y := w[n0-dy:][:ni]
-			wp1y := w[n0+dy:][:ni]
-			wp2y := w[n0+2*dy:][:ni]
-			wm2z := w[n0-2*dz:][:ni]
-			wm1z := w[n0-dz:][:ni]
-			wp1z := w[n0+dz:][:ni]
-			xxr := xx[n0:][:ni]
-			yyr := yy[n0:][:ni]
-			zzr := zz[n0:][:ni]
-			xyr := xy[n0:][:ni]
-			xzr := xz[n0:][:ni]
-			yzr := yz[n0:][:ni]
-			lamr := lam[n0:][:ni]
-			l2mr := l2m[n0:][:ni]
-			mxyr := mxy[n0:][:ni]
-			mxzr := mxz[n0:][:ni]
-			myzr := myz[n0:][:ni]
-			zxxr := zxx[n0:][:ni]
-			zyyr := zyy[n0:][:ni]
-			zzzr := zzz[n0:][:ni]
-			zxyr := zxy[n0:][:ni]
-			zxzr := zxz[n0:][:ni]
-			zyzr := zyz[n0:][:ni]
-			dlamr := dlam[n0:][:ni]
-			dmur := dmu[n0:][:ni]
+			if nv > 0 {
+				for l := range tab.am {
+					tab.am[l], tab.cm[l] = amP[(l+pari)&1], cmP[(l+pari)&1]
+				}
+				fusedStressRowAVX2(&tab, n0-nb, nv, dth, c1, c2)
+			}
+			if nt == 0 {
+				continue
+			}
+			n := n0 + nv
+			uc := u[n:][:nt]
+			um2x := u[n-2:][:nt]
+			um1x := u[n-1:][:nt]
+			up1x := u[n+1:][:nt]
+			um1y := u[n-dy:][:nt]
+			up1y := u[n+dy:][:nt]
+			up2y := u[n+2*dy:][:nt]
+			um1z := u[n-dz:][:nt]
+			up1z := u[n+dz:][:nt]
+			up2z := u[n+2*dz:][:nt]
+			vc := v[n:][:nt]
+			vm1x := v[n-1:][:nt]
+			vp1x := v[n+1:][:nt]
+			vp2x := v[n+2:][:nt]
+			vm2y := v[n-2*dy:][:nt]
+			vm1y := v[n-dy:][:nt]
+			vp1y := v[n+dy:][:nt]
+			vm1z := v[n-dz:][:nt]
+			vp1z := v[n+dz:][:nt]
+			vp2z := v[n+2*dz:][:nt]
+			wc := w[n:][:nt]
+			wm1x := w[n-1:][:nt]
+			wp1x := w[n+1:][:nt]
+			wp2x := w[n+2:][:nt]
+			wm1y := w[n-dy:][:nt]
+			wp1y := w[n+dy:][:nt]
+			wp2y := w[n+2*dy:][:nt]
+			wm2z := w[n-2*dz:][:nt]
+			wm1z := w[n-dz:][:nt]
+			wp1z := w[n+dz:][:nt]
+			xxr := xx[n:][:nt]
+			yyr := yy[n:][:nt]
+			zzr := zz[n:][:nt]
+			xyr := xy[n:][:nt]
+			xzr := xz[n:][:nt]
+			yzr := yz[n:][:nt]
+			lamr := lam[n:][:nt]
+			l2mr := l2m[n:][:nt]
+			mxyr := mxy[n:][:nt]
+			mxzr := mxz[n:][:nt]
+			myzr := myz[n:][:nt]
+			zxxr := zxx[n:][:nt]
+			zyyr := zyy[n:][:nt]
+			zzzr := zzz[n:][:nt]
+			zxyr := zxy[n:][:nt]
+			zxzr := zxz[n:][:nt]
+			zyzr := zyz[n:][:nt]
+			dlamr := dlam[n:][:nt]
+			dmur := dmu[n:][:nt]
 			for i := range xxr {
 				// Elastic constitutive update (== fd.UpdateStress).
 				exx := c1*(uc[i]-um1x[i]) + c2*(up1x[i]-um2x[i])

@@ -1,43 +1,18 @@
 package fd
 
 import (
-	"sync"
-
 	"repro/internal/core/sched"
 	"repro/internal/medium"
 )
 
 // Hybrid MPI/OpenMP mode (§IV.D): within one rank, the kernel loops are
 // split over worker goroutines sharing the rank's memory — the analogue of
-// OpenMP threads spawned from a single MPI process. Cells are independent
-// within one kernel application, so any decomposition (k-slabs or j/k
-// tiles) is bit-identical to the serial kernel.
-//
-// Two execution strategies exist:
-//
-//   - ForEachKSlab: the original spawn-per-call path — a goroutine per
-//     k-slab per kernel call. Kept as the baseline the pool benchmarks
-//     compare against.
-//   - Tiles + sched.Pool: the persistent engine — the j/k panels of the
-//     cache-blocking scheme become a tile queue drained by a fixed worker
-//     pool, so a call costs no goroutine spawns and uneven tiles (PML
-//     trimming) load-balance dynamically.
-
-// UpdateVelocityParallel is UpdateVelocity with nthreads spawned worker
-// goroutines; nthreads <= 1 falls through to the serial kernel.
-func UpdateVelocityParallel(s *State, m *medium.Medium, dt float64, box Box, v Variant, blk Blocking, nthreads int) {
-	ForEachKSlab(box, nthreads, func(sub Box) {
-		UpdateVelocity(s, m, dt, sub, v, blk)
-	})
-}
-
-// UpdateStressParallel is UpdateStress with nthreads spawned worker
-// goroutines.
-func UpdateStressParallel(s *State, m *medium.Medium, dt float64, box Box, v Variant, blk Blocking, nthreads int) {
-	ForEachKSlab(box, nthreads, func(sub Box) {
-		UpdateStress(s, m, dt, sub, v, blk)
-	})
-}
+// OpenMP threads spawned from a single MPI process. The j/k panels of the
+// cache-blocking scheme become a tile queue drained by the rank's
+// persistent sched.Pool, so a kernel call spawns no goroutines and uneven
+// tiles (PML trimming) load-balance dynamically. Cells are independent
+// within one kernel application, so any tiling is bit-identical to the
+// serial kernel.
 
 // UpdateVelocityTiled runs UpdateVelocity over box as a tile queue on the
 // persistent pool. Results are bit-identical to the serial kernel for
@@ -105,38 +80,4 @@ func ForEachTileMulti(boxes []Box, blk Blocking, p *sched.Pool, fn func(Box)) {
 		return
 	}
 	p.ForEachN(len(tiles), func(i int) { fn(tiles[i]) })
-}
-
-// ForEachKSlab splits box into contiguous k-slabs and runs fn
-// concurrently on nthreads freshly spawned workers (nthreads <= 1:
-// inline). This is the legacy spawn-per-call path; the pooled tile
-// scheduler (ForEachTile) supersedes it in the solver hot loop.
-func ForEachKSlab(box Box, nthreads int, fn func(Box)) {
-	if box.Empty() {
-		return
-	}
-	nk := box.K1 - box.K0
-	if nthreads <= 1 || nk < 2 {
-		fn(box)
-		return
-	}
-	if nthreads > nk {
-		nthreads = nk
-	}
-	var wg sync.WaitGroup
-	for t := 0; t < nthreads; t++ {
-		k0 := box.K0 + t*nk/nthreads
-		k1 := box.K0 + (t+1)*nk/nthreads
-		if k0 == k1 {
-			continue
-		}
-		sub := box
-		sub.K0, sub.K1 = k0, k1
-		wg.Add(1)
-		go func(b Box) {
-			defer wg.Done()
-			fn(b)
-		}(sub)
-	}
-	wg.Wait()
 }
