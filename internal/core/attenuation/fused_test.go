@@ -2,6 +2,7 @@ package attenuation
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/core/fd"
@@ -151,11 +152,16 @@ func TestFusedStressDtMismatchPanics(t *testing.T) {
 // FuzzFusedStressMatchesTwoPass drives the fused kernel with random Q
 // scatter (including Q<=0 points), random coarse-graining cell phase, and
 // random box offsets, asserting exact equality against the two-pass
-// reference on all wavefields and memory variables.
+// reference on all wavefields and memory variables. Qp is drawn
+// independently of Qs, as Qs*U[0.5, 3]: with vp/vs = sqrt(3) the lambda
+// deficit DLam is positive only where Qp < 1.5*Qs (Qp = 2*Qs clamps it to
+// 0), so about a fifth of the lossy points drive the trace/DLam terms.
 func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 	f.Add(int64(1), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0), uint8(0))
 	f.Add(int64(2), uint8(1), uint8(3), uint8(2), uint8(3), uint8(1), uint8(2))
 	f.Add(int64(3), uint8(255), uint8(254), uint8(253), uint8(7), uint8(5), uint8(4))
+	// The whole box, odd origin: many points with Qp < 2*Qs and DLam > 0.
+	f.Add(int64(4), uint8(1), uint8(0), uint8(1), uint8(0), uint8(0), uint8(0))
 	d := grid.Dims{NX: 10, NY: 9, NZ: 8}
 
 	f.Fuzz(func(t *testing.T, seed int64, ox, oy, oz, i0, j0, k0 uint8) {
@@ -169,7 +175,7 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 				qs = 0
 			}
 			qsd[n] = float32(qs)
-			qpd[n] = float32(2 * qs)
+			qpd[n] = float32(qs * (0.5 + 2.5*rng.Float64()))
 		}
 		dt := m.StableDt(0.5)
 		box := fd.Box{
@@ -185,6 +191,9 @@ func FuzzFusedStressMatchesTwoPass(f *testing.F) {
 		aFus := New(m, DefaultBand, dt)
 		aRef.Origin = origin
 		aFus.Origin = origin
+		if !slices.ContainsFunc(aRef.DLam.Data(), func(v float32) bool { return v > 0 }) {
+			t.Fatal("DLam is 0 everywhere: the trace/DLam terms go unchecked")
+		}
 
 		fd.UpdateStress(sRef, m, dt, box, fd.Naive, fd.Blocking{})
 		aRef.applyOracle(sRef, m, dt, box)

@@ -57,12 +57,22 @@ type PML struct {
 	// damp[l] is d(l) for depth-from-boundary l in [0, Width).
 	damp []float64
 
-	// The split-update coefficients (decay, gain) as float32 profiles
-	// along the zone axis, built for step dt by prepare: decN/gainN for
-	// the split normal to the face, decP/gainP for the parallel ones. An
-	// x zone indexes them per i; a y or z zone takes one value per x-row.
-	dt                       float64 // NaN until the first prepare
-	decN, gainN, decP, gainP []float32
+	// The split-update coefficients (decay, gain) for step dt, built by
+	// prepare: dec[s], gain[s] serve split direction s, so the split
+	// normal to the face has its own pair and the two parallel splits
+	// share one. Each is a rows x nx float32 array: an x zone has one row,
+	// the profile along i; a y or z zone has one row per axis coordinate,
+	// that coordinate's value broadcast along x. The x-row (lj, lk) reads
+	// the row at coefOffset(lj, lk), so every kernel indexes its
+	// coefficients per i whatever the zone's axis.
+	dt        float64 // NaN until the first prepare
+	dec, gain [3][]float32
+
+	// Operand tables of the row kernels over the whole zone, rebuilt by
+	// each PMLSet call for its state and medium (pmlstrip.go).
+	vt  [3]velTab
+	nt  normTab
+	stt [3]shearTab
 }
 
 // DefaultPMLWidth is the M8 production width (10 cells).
@@ -113,9 +123,18 @@ func NewPML(zone fd.Box, axis grid.Axis, side grid.Side, width int, p, rcoef, vp
 		x := (float64(width-l) - 0.5) / float64(width)
 		pm.damp[l] = d0 * x * x
 	}
-	n := pm.axisLen()
-	pm.decN, pm.gainN = make([]float32, n), make([]float32, n)
-	pm.decP, pm.gainP = make([]float32, n), make([]float32, n)
+	rows := 1
+	if axis != grid.X {
+		rows = pm.axisLen()
+	}
+	decN, gainN := make([]float32, rows*pm.nx), make([]float32, rows*pm.nx)
+	decP, gainP := make([]float32, rows*pm.nx), make([]float32, rows*pm.nx)
+	for s := range pm.dec {
+		pm.dec[s], pm.gain[s] = decP, gainP
+		if grid.Axis(s) == axis {
+			pm.dec[s], pm.gain[s] = decN, gainN
+		}
+	}
 	return pm
 }
 
@@ -130,8 +149,8 @@ func (pm *PML) axisLen() int {
 	return pm.nz
 }
 
-// prepare builds the coefficient profiles for step dt (a no-op when they
-// are already built for dt). Each coefficient is the float64 expression
+// prepare builds the coefficient rows for step dt (a no-op when they are
+// already built for dt). Each coefficient is the float64 expression
 //
 //	dec = (1 - d_s*dt/2) / (1 + d_s*dt/2),  gain = 1 / (1 + d_s*dt/2)
 //
@@ -147,6 +166,8 @@ func (pm *PML) prepare(dt float64) {
 		den := 1 + ds*dt/2
 		return float32((1 - ds*dt/2) / den), float32(1 / den)
 	}
+	par := (pm.Axis + 1) % 3
+	dN, gN, dP, gP := pm.dec[pm.Axis], pm.gain[pm.Axis], pm.dec[par], pm.gain[par]
 	n := pm.axisLen()
 	for a := 0; a < n; a++ {
 		l := a
@@ -154,30 +175,29 @@ func (pm *PML) prepare(dt float64) {
 			l = n - 1 - a
 		}
 		d := pm.damp[min(l, len(pm.damp)-1)]
-		pm.decN[a], pm.gainN[a] = coef(d)
-		pm.decP[a], pm.gainP[a] = coef(pm.P * d)
+		dn, gn := coef(d)
+		dp, gp := coef(pm.P * d)
+		// Entry a of an x zone's one row; all of row a in a y or z zone.
+		lo, hi := a, a+1
+		if pm.Axis != grid.X {
+			lo, hi = a*pm.nx, (a+1)*pm.nx
+		}
+		for i := lo; i < hi; i++ {
+			dN[i], gN[i], dP[i], gP[i] = dn, gn, dp, gp
+		}
 	}
 }
 
-// rowCoefs returns the per-split coefficient windows of the x-row at
-// zone-local (lj, lk): the whole profile (length nx) in an x zone, the
-// row's single value (length 1) in a y or z zone.
-func (pm *PML) rowCoefs(lj, lk int) (dec, gain [3][]float32) {
-	lo, hi := 0, pm.nx
+// coefOffset is the offset of the x-row (lj, lk)'s coefficient row in
+// dec and gain.
+func (pm *PML) coefOffset(lj, lk int) int {
 	switch pm.Axis {
 	case grid.Y:
-		lo, hi = lj, lj+1
+		return lj * pm.nx
 	case grid.Z:
-		lo, hi = lk, lk+1
+		return lk * pm.nx
 	}
-	for s := range dec {
-		if grid.Axis(s) == pm.Axis {
-			dec[s], gain[s] = pm.decN[lo:hi], pm.gainN[lo:hi]
-		} else {
-			dec[s], gain[s] = pm.decP[lo:hi], pm.gainP[lo:hi]
-		}
-	}
-	return
+	return 0
 }
 
 // PMLSet advances a rank's PML zones as one queue of x-rows on the rank's
@@ -193,10 +213,11 @@ type PMLSet struct {
 	// a step allocates no closures.
 	velRow, strRow func(int)
 
-	// Arguments of the queue in flight, read by the row functions.
-	st  *fd.State
-	med *medium.Medium
-	dth float32
+	// Arguments of the queue in flight, read by the row functions: the
+	// field strides, dt/h, and whether the rows run the AVX2 row bodies.
+	dy, dz int
+	dth    float32
+	avx2   bool
 }
 
 type pmlRow struct {
@@ -209,7 +230,11 @@ func NewPMLSet(zones []*PML) *PMLSet {
 	if len(zones) == 0 {
 		return nil
 	}
-	ps := &PMLSet{Zones: zones}
+	n := 0
+	for _, z := range zones {
+		n += z.ny * z.nz
+	}
+	ps := &PMLSet{Zones: zones, rows: make([]pmlRow, 0, n)}
 	for _, z := range zones {
 		for lk := 0; lk < z.nz; lk++ {
 			for lj := 0; lj < z.ny; lj++ {
@@ -219,11 +244,11 @@ func NewPMLSet(zones []*PML) *PMLSet {
 	}
 	ps.velRow = func(r int) {
 		w := ps.rows[r]
-		w.z.velocityRow(ps.st, ps.med, ps.dth, w.lj, w.lk)
+		w.z.velocityRow(w.lj, w.lk, ps.dy, ps.dz, ps.dth, ps.avx2)
 	}
 	ps.strRow = func(r int) {
 		w := ps.rows[r]
-		w.z.stressRow(ps.st, ps.med, ps.dth, w.lj, w.lk)
+		w.z.stressRow(w.lj, w.lk, ps.dy, ps.dz, ps.dth, ps.avx2)
 	}
 	return ps
 }
@@ -231,22 +256,25 @@ func NewPMLSet(zones []*PML) *PMLSet {
 // UpdateVelocity runs every zone's velocity update on pool p.
 func (ps *PMLSet) UpdateVelocity(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool) {
 	if ps != nil {
-		ps.run(s, m, dt, p, ps.velRow)
+		ps.run(s, m, dt, p, (*PML).velocityTables, ps.velRow)
 	}
 }
 
 // UpdateStress runs every zone's stress update on pool p.
 func (ps *PMLSet) UpdateStress(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool) {
 	if ps != nil {
-		ps.run(s, m, dt, p, ps.strRow)
+		ps.run(s, m, dt, p, (*PML).stressTables, ps.strRow)
 	}
 }
 
-func (ps *PMLSet) run(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool, row func(int)) {
+func (ps *PMLSet) run(s *fd.State, m *medium.Medium, dt float64, p *sched.Pool,
+	tables func(*PML, *fd.State, *medium.Medium), row func(int)) {
 	for _, z := range ps.Zones {
 		z.prepare(dt)
+		tables(z, s, m)
 	}
-	ps.st, ps.med, ps.dth = s, m, float32(dt/m.H)
+	_, ps.dy, ps.dz = s.VX.Strides()
+	ps.dth, ps.avx2 = float32(dt/m.H), useAVX2
 	p.ForEachN(len(ps.rows), row)
 }
 

@@ -1,14 +1,17 @@
 package boundary
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/core/fd"
 	"repro/internal/core/sched"
+	"repro/internal/cpufeat"
 	"repro/internal/cvm"
 	"repro/internal/grid"
 	"repro/internal/medium"
@@ -249,88 +252,149 @@ func layeredMedium(t testing.TB, d grid.Dims, h float64) *medium.Medium {
 	return makeMedium(t, q, d, h)
 }
 
-// TestPMLStripMatchesPerCellOracle: the strip kernels — as an inline and
-// as a threaded row queue — reproduce the per-cell reference bit for bit
-// after 50 steps in a layered medium, over all six zone orientations,
-// classic (P=0) and multi-axial (P=0.1) damping and odd widths. Every
-// stored split matches too, and the three unstored ones stay exactly +0
-// in the reference.
-func TestPMLStripMatchesPerCellOracle(t *testing.T) {
-	const steps = 50
-	d := grid.Dims{NX: 19, NY: 17, NZ: 15}
-	h := 100.0
-	m := layeredMedium(t, d, h)
-	dt := m.StableDt(0.45)
-	all := FaceSet{XLo: true, XHi: true, YLo: true, YHi: true, ZLo: true, ZHi: true}
-	for _, width := range []int{3, 5} {
-		for _, p := range []float64{0, DefaultMPMLRatio} {
-			t.Run(fmt.Sprintf("w%d_p%g", width, p), func(t *testing.T) {
-				zones, interior := BuildPML(d, all, width, p, DefaultPMLReflection, m.MaxVp, h)
-				pooled, _ := BuildPML(d, all, width, p, DefaultPMLReflection, m.MaxVp, h)
-				if len(zones) != 6 {
-					t.Fatalf("%d zones, want all six orientations", len(zones))
-				}
-				oracles := make([]*oraclePML, len(zones))
-				for i, z := range zones {
-					oracles[i] = newOracle(z)
-				}
-				inline, queued := NewPMLSet(zones), NewPMLSet(pooled)
-				pool := sched.NewPool(3)
-				defer pool.Close()
+// setAVX2 selects the assembly row bodies (on) or the Go loops alone
+// (off) for the rest of the test.
+func setAVX2(tb testing.TB, on bool) {
+	old := useAVX2
+	useAVX2 = on
+	tb.Cleanup(func() { useAVX2 = old })
+}
 
-				got, want, par := randomState(d, 7), randomState(d, 7), randomState(d, 7)
-				for n := 0; n < steps; n++ {
-					for _, s := range []*fd.State{got, want, par} {
-						fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-					}
-					inline.UpdateVelocity(got, m, dt, nil)
-					queued.UpdateVelocity(par, m, dt, pool)
-					for _, o := range oracles {
-						o.UpdateVelocity(want, m, dt)
-					}
-					for _, s := range []*fd.State{got, want, par} {
-						fd.UpdateStress(s, m, dt, interior, fd.Precomp, fd.Blocking{})
-					}
-					inline.UpdateStress(got, m, dt, nil)
-					queued.UpdateStress(par, m, dt, pool)
-					for _, o := range oracles {
-						o.UpdateStress(want, m, dt)
-					}
+// avx2Paths lists the row-body settings this host can run: the Go loops
+// alone, and the assembly row bodies where the CPU has AVX2.
+func avx2Paths() []bool {
+	if cpufeat.AVX2 {
+		return []bool{true, false}
+	}
+	return []bool{false}
+}
+
+// pathName labels a row-body setting in subtest and benchmark names.
+func pathName(avx2 bool) string {
+	if avx2 {
+		return "avx2"
+	}
+	return "scalar"
+}
+
+// seedSubnormalRows scales blocks of 5x5 x-rows towards the float32
+// subnormal range (|x| < 2^-126): rows whose padded (j, k) both fall in
+// [5, 10) modulo 16, ghosts included, as in the fd row-body tests.
+// Velocities become subnormal and stresses 1e7 larger, the ratio the
+// wave impedance sets, so the velocity splits and recombined velocities
+// of the next update are subnormal, and flush-to-zero or
+// denormals-are-zero arithmetic would change them.
+func seedSubnormalRows(s *fd.State) {
+	for fi, f := range s.Fields() {
+		scale := float32(1e-39)
+		if fi >= 3 {
+			scale = 1e-32
+		}
+		sx, sy, sz := f.PaddedDims()
+		data := f.Data()
+		for k := 0; k < sz; k++ {
+			for j := 0; j < sy; j++ {
+				if j%16 < 5 || j%16 >= 10 || k%16 < 5 || k%16 >= 10 {
+					continue
 				}
-				for fi, f := range want.Fields() {
-					w, g, q := f.Data(), got.Fields()[fi].Data(), par.Fields()[fi].Data()
-					for n := range w {
-						if math.Float32bits(g[n]) != math.Float32bits(w[n]) {
-							t.Fatalf("%s[%d]: inline %g, oracle %g", fd.FieldNames[fi], n, g[n], w[n])
-						}
-						if math.Float32bits(q[n]) != math.Float32bits(w[n]) {
-							t.Fatalf("%s[%d]: row queue %g, oracle %g", fd.FieldNames[fi], n, q[n], w[n])
-						}
-					}
+				row := data[(k*sy+j)*sx:][:sx]
+				for i := range row {
+					row[i] *= scale
 				}
-				for zi, z := range zones {
-					o := oracles[zi]
-					for comp := 0; comp < 9; comp++ {
-						for s := 0; s < 3; s++ {
-							of, sp := o.split[s].Fields()[comp], stripSplit(z, comp, s)
-							for lk := 0; lk < z.nz; lk++ {
-								for lj := 0; lj < z.ny; lj++ {
-									for li := 0; li < z.nx; li++ {
-										ov := math.Float32bits(of.At(li, lj, lk))
-										if sp == nil {
-											if ov != 0 {
-												t.Fatalf("zone %d %s split %d: unstored split is %g, want +0",
-													zi, fd.FieldNames[comp], s, of.At(li, lj, lk))
-											}
-											continue
-										}
-										if gv := math.Float32bits(sp[(lk*z.ny+lj)*z.nx+li]); gv != ov {
-											t.Fatalf("zone %d %s split %d at (%d,%d,%d) differs", zi, fd.FieldNames[comp], s, li, lj, lk)
-										}
-									}
+			}
+		}
+	}
+}
+
+// expectFieldsMatch asserts that got holds want's bits in every element
+// of every field, ghosts included.
+func expectFieldsMatch(t *testing.T, label string, got, want *fd.State) {
+	t.Helper()
+	for fi, f := range want.Fields() {
+		w, g := f.Data(), got.Fields()[fi].Data()
+		if bytes.Equal(float32Bytes(g), float32Bytes(w)) {
+			continue
+		}
+		for n := range w {
+			if math.Float32bits(g[n]) != math.Float32bits(w[n]) {
+				t.Fatalf("%s: %s[%d]: %g, oracle %g", label, fd.FieldNames[fi], n, g[n], w[n])
+			}
+		}
+	}
+}
+
+// float32Bytes views a as its bytes, so that a whole field compares with
+// one memequal.
+func float32Bytes(a []float32) []byte {
+	return unsafe.Slice((*byte)(unsafe.Pointer(unsafe.SliceData(a))), 4*len(a))
+}
+
+// expectSplitsMatch asserts that every stored split of zones holds the
+// oracle's bits, and that the three unstored splits are exactly +0 in the
+// oracle.
+func expectSplitsMatch(t *testing.T, label string, zones []*PML, oracles []*oraclePML) {
+	t.Helper()
+	for zi, z := range zones {
+		o := oracles[zi]
+		for comp := 0; comp < 9; comp++ {
+			for s := 0; s < 3; s++ {
+				of, sp := o.split[s].Fields()[comp], stripSplit(z, comp, s)
+				for lk := 0; lk < z.nz; lk++ {
+					for lj := 0; lj < z.ny; lj++ {
+						for li := 0; li < z.nx; li++ {
+							ov := math.Float32bits(of.At(li, lj, lk))
+							if sp == nil {
+								if ov != 0 {
+									t.Fatalf("%s: zone %d %s split %d: unstored split is %g, want +0",
+										label, zi, fd.FieldNames[comp], s, of.At(li, lj, lk))
 								}
+								continue
+							}
+							if gv := math.Float32bits(sp[(lk*z.ny+lj)*z.nx+li]); gv != ov {
+								t.Fatalf("%s: zone %d %s split %d at (%d,%d,%d) differs",
+									label, zi, fd.FieldNames[comp], s, li, lj, lk)
 							}
 						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestPMLStripMatchesPerCellOracle: the strip kernels — on both row-body
+// paths, as an inline and as a threaded row queue — reproduce the
+// per-cell reference bit for bit, the fields after every update and every
+// stored split at the end, over 50 steps in a layered medium, all six
+// zone orientations, classic (P=0) and multi-axial (P=0.1) damping, and
+// from a normal and (multi-axial) a subnormal-seeded state. Each width
+// gets a grid whose y/z-zone rows are yz cells wide, so that x-zone rows
+// (width cells) and y/z-zone rows together cover every masked tail length
+// 0-7, alone and after full 8-cell iterations, production widths
+// included: 10 (8+2) and 22 (16+6).
+func TestPMLStripMatchesPerCellOracle(t *testing.T) {
+	h := 100.0
+	pool := sched.NewPool(3)
+	defer pool.Close()
+	cases := []struct{ width, yz int }{{3, 17}, {4, 9}, {5, 22}, {6, 11}, {7, 1}, {8, 16}, {DefaultPMLWidth, 9}}
+	for _, c := range cases {
+		d := grid.Dims{NX: 2*c.width + c.yz, NY: 2*c.width + 3, NZ: 2*c.width + 3}
+		m := layeredMedium(t, d, h)
+		dt := m.StableDt(0.45)
+		for _, p := range []float64{0, DefaultMPMLRatio} {
+			t.Run(fmt.Sprintf("w%d_p%g", c.width, p), func(t *testing.T) {
+				for _, avx2 := range avx2Paths() {
+					for _, sub := range []bool{false, true} {
+						if sub && p == 0 {
+							continue
+						}
+						name := pathName(avx2)
+						if sub {
+							name += "_subnormal"
+						}
+						t.Run(name, func(t *testing.T) {
+							stripMatchesOracle(t, d, m, dt, c.width, p, sub, avx2, pool)
+						})
 					}
 				}
 			})
@@ -338,7 +402,55 @@ func TestPMLStripMatchesPerCellOracle(t *testing.T) {
 	}
 }
 
-// A zone step allocates nothing: no row buffers, no closures.
+// stripMatchesOracle runs one case of TestPMLStripMatchesPerCellOracle.
+func stripMatchesOracle(t *testing.T, d grid.Dims, m *medium.Medium, dt float64, width int, p float64,
+	sub, avx2 bool, pool *sched.Pool) {
+	const steps = 50
+	all := FaceSet{XLo: true, XHi: true, YLo: true, YHi: true, ZLo: true, ZHi: true}
+	setAVX2(t, avx2)
+	zones, interior := BuildPML(d, all, width, p, DefaultPMLReflection, m.MaxVp, m.H)
+	pooled, _ := BuildPML(d, all, width, p, DefaultPMLReflection, m.MaxVp, m.H)
+	if len(zones) != 6 {
+		t.Fatalf("%d zones, want all six orientations", len(zones))
+	}
+	oracles := make([]*oraclePML, len(zones))
+	for i, z := range zones {
+		oracles[i] = newOracle(z)
+	}
+	inline, queued := NewPMLSet(zones), NewPMLSet(pooled)
+
+	got := randomState(d, 7)
+	if sub {
+		seedSubnormalRows(got)
+	}
+	want, par := got.Clone(), got.Clone()
+	for n := 0; n < steps; n++ {
+		for _, s := range []*fd.State{got, want, par} {
+			fd.UpdateVelocity(s, m, dt, interior, fd.Precomp, fd.Blocking{})
+		}
+		inline.UpdateVelocity(got, m, dt, nil)
+		queued.UpdateVelocity(par, m, dt, pool)
+		for _, o := range oracles {
+			o.UpdateVelocity(want, m, dt)
+		}
+		expectFieldsMatch(t, fmt.Sprintf("step %d velocity", n), got, want)
+		for _, s := range []*fd.State{got, want, par} {
+			fd.UpdateStress(s, m, dt, interior, fd.Precomp, fd.Blocking{})
+		}
+		inline.UpdateStress(got, m, dt, nil)
+		queued.UpdateStress(par, m, dt, pool)
+		for _, o := range oracles {
+			o.UpdateStress(want, m, dt)
+		}
+		expectFieldsMatch(t, fmt.Sprintf("step %d stress", n), got, want)
+	}
+	expectSplitsMatch(t, "inline", zones, oracles)
+	expectFieldsMatch(t, "row queue", par, want)
+	expectSplitsMatch(t, "row queue", pooled, oracles)
+}
+
+// A zone step allocates nothing, on either row-body path: no row
+// buffers, no closures, no tables.
 func TestPMLStepAllocatesNothing(t *testing.T) {
 	d := grid.Dims{NX: 24, NY: 20, NZ: 16}
 	m := layeredMedium(t, d, 100)
@@ -346,41 +458,51 @@ func TestPMLStepAllocatesNothing(t *testing.T) {
 	zones, _ := BuildPML(d, AllAbsorbing(), 5, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, 100)
 	s := randomState(d, 3)
 	set := NewPMLSet(zones)
-	if a := testing.AllocsPerRun(10, func() {
-		set.UpdateVelocity(s, m, dt, nil)
-		set.UpdateStress(s, m, dt, nil)
-	}); a != 0 {
-		t.Errorf("zone step: %v allocs, want 0", a)
+	for _, avx2 := range avx2Paths() {
+		setAVX2(t, avx2)
+		if a := testing.AllocsPerRun(10, func() {
+			set.UpdateVelocity(s, m, dt, nil)
+			set.UpdateStress(s, m, dt, nil)
+		}); a != 0 {
+			t.Errorf("%s zone step: %v allocs, want 0", pathName(avx2), a)
+		}
 	}
 }
 
 // BenchmarkPMLZone reports the cost of one M-PML cell-step (velocity +
 // stress over a width-10 shell) next to one interior cell-step of the
-// default blocked fd kernels on the same 48x48x32 subgrid, the ratio the
-// "PML within 2x of interior" target tracks.
+// production fd kernels on the same 48x48x32 subgrid, with the zones on
+// their AVX2 row bodies (avx2) and on the Go loops (scalar); the interior
+// runs its production kernels in both. pml/interior is the ratio of the
+// two per-cell costs.
 func BenchmarkPMLZone(b *testing.B) {
 	d := grid.Dims{NX: 48, NY: 48, NZ: 32}
 	m := layeredMedium(b, d, 200)
 	dt := m.StableDt(0.45)
-	zones, interior := BuildPML(d, AllAbsorbing(), DefaultPMLWidth, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, 200)
-	set := NewPMLSet(zones)
-	s := randomState(d, 11)
-	pmlCells := d.Cells() - interior.Cells()
-	var pmlT, intT time.Duration
-	b.ResetTimer()
-	for n := 0; n < b.N; n++ {
-		t0 := time.Now()
-		fd.UpdateVelocity(s, m, dt, interior, fd.Blocked, fd.DefaultBlocking)
-		fd.UpdateStress(s, m, dt, interior, fd.Blocked, fd.DefaultBlocking)
-		t1 := time.Now()
-		set.UpdateVelocity(s, m, dt, nil)
-		set.UpdateStress(s, m, dt, nil)
-		pmlT += time.Since(t1)
-		intT += t1.Sub(t0)
+	for _, avx2 := range avx2Paths() {
+		b.Run(pathName(avx2), func(b *testing.B) {
+			setAVX2(b, avx2)
+			zones, interior := BuildPML(d, AllAbsorbing(), DefaultPMLWidth, DefaultMPMLRatio, DefaultPMLReflection, m.MaxVp, 200)
+			set := NewPMLSet(zones)
+			s := randomState(d, 11)
+			pmlCells := d.Cells() - interior.Cells()
+			var pmlT, intT time.Duration
+			b.ResetTimer()
+			for n := 0; n < b.N; n++ {
+				t0 := time.Now()
+				fd.UpdateVelocity(s, m, dt, interior, fd.Blocked, fd.DefaultBlocking)
+				fd.UpdateStress(s, m, dt, interior, fd.Blocked, fd.DefaultBlocking)
+				t1 := time.Now()
+				set.UpdateVelocity(s, m, dt, nil)
+				set.UpdateStress(s, m, dt, nil)
+				pmlT += time.Since(t1)
+				intT += t1.Sub(t0)
+			}
+			pmlNs := float64(pmlT.Nanoseconds()) / float64(b.N) / float64(pmlCells)
+			intNs := float64(intT.Nanoseconds()) / float64(b.N) / float64(interior.Cells())
+			b.ReportMetric(pmlNs, "pml-ns/cell")
+			b.ReportMetric(intNs, "interior-ns/cell")
+			b.ReportMetric(pmlNs/intNs, "pml/interior")
+		})
 	}
-	pmlNs := float64(pmlT.Nanoseconds()) / float64(b.N) / float64(pmlCells)
-	intNs := float64(intT.Nanoseconds()) / float64(b.N) / float64(interior.Cells())
-	b.ReportMetric(pmlNs, "pml-ns/cell")
-	b.ReportMetric(intNs, "interior-ns/cell")
-	b.ReportMetric(pmlNs/intNs, "pml/interior")
 }
